@@ -16,7 +16,6 @@ Exit codes: 0 on success, 1 on data errors (bad files, impossible requests),
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -36,6 +35,7 @@ from .codec import (
 from .compositor import GenConfig, PerturbConfig, generate, perturb, render, scene_annotations
 from .io import (
     SchemaError,
+    _dump_json,
     _load_json,
     annotations_from_dict,
     read_semdist,
@@ -80,10 +80,6 @@ def _unit_float(text: str) -> float:
     if not (0.0 <= value <= 1.0):
         raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
     return value
-
-
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

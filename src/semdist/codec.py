@@ -38,6 +38,7 @@ __all__ = [
     "RelativeOrderMap",
     "visibility_levels",
     "encode_semdist",
+    "encode_scene",
     "decode_modal",
     "decode_amodal",
     "decode_levels",
@@ -150,7 +151,39 @@ def encode_semdist(
     amodal support, exactly 0 outside."""
     policy = _as_policy(policy)
     levels = visibility_levels(scene, instance_id)
-    confidence = policy.grid(scene.height, scene.width)
+    return _semdist_from_levels(levels, policy.grid(scene.height, scene.width))
+
+
+def encode_scene(
+    scene: LayerStackScene, policy: PolicyLike = DEFAULT_CONFIDENCE
+) -> dict[int, SemDistMap]:
+    """Encode every instance in one pass over the depth planes.
+
+    Keys follow scene.ids(); each map equals encode_semdist(scene, id, policy).
+    """
+    confidence = _as_policy(policy).grid(scene.height, scene.width)
+    if not scene.instances:
+        return {}
+    ids = np.unique(np.array(scene.ids(), dtype=np.int64))
+    depth_count = scene.stacks.shape[0]
+    # the narrowest signed type that holds every level: n maps in one grid stay small
+    dtype = np.min_scalar_type(-max(depth_count, 1))
+    levels = np.full((ids.size, scene.height, scene.width), LEVEL_ABSENT, dtype=dtype)
+    # back to front, so each instance ends up with its front-most level
+    for depth in reversed(range(depth_count)):
+        ys, xs = np.nonzero(scene.stacks[depth])
+        found = scene.stacks[depth][ys, xs]
+        rows = np.minimum(np.searchsorted(ids, found), ids.size - 1)
+        known = ids[rows] == found  # stacks may hold ids the scene does not list
+        levels[rows[known], ys[known], xs[known]] = depth
+    return {
+        instance_id: _semdist_from_levels(levels[np.searchsorted(ids, instance_id)], confidence)
+        for instance_id in scene.ids()
+    }
+
+
+def _semdist_from_levels(levels: np.ndarray, confidence: np.ndarray) -> SemDistMap:
+    """Confidence minus level where the level is set, exactly 0 elsewhere."""
     values = np.where(
         levels != LEVEL_ABSENT,
         confidence - levels.astype(np.float32),

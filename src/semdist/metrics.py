@@ -18,7 +18,7 @@ from .codec import (
     DEFAULT_THRESHOLD,
     ConfidencePolicy,
     OrderVerdict,
-    encode_semdist,
+    encode_scene,
     object_order,
 )
 from .types import (
@@ -30,7 +30,6 @@ from .types import (
     LayerStackScene,
     SemDistError,
     SemDistMap,
-    amodal_mask_of,
 )
 
 __all__ = [
@@ -106,6 +105,45 @@ class MatchResult:
     unmatched_pred: tuple[int, ...]
 
 
+class _Image:
+    """One image ready for greedy matching: gt sorted by id, predictions by
+    descending score (ties to the lower id) and the IoU matrix between them,
+    built once and shared by every threshold, budget and stratum."""
+
+    def __init__(self, gt, pred, class_aware: bool) -> None:
+        self.gt = sorted(gt, key=lambda ann: ann.id)
+        self.pred = sorted(pred, key=lambda ann: (-ann.score, ann.id))
+        # with class_aware, pairs of two differing categories read 0: no threshold accepts 0
+        self.iou = [
+            [value if not class_aware or None in (g.category, p.category)
+             or g.category == p.category else 0.0 for p, value in zip(self.pred, row)]
+            for g, row in zip(self.gt, iou_matrix(self.gt, self.pred).tolist())
+        ]
+
+    def claims(self, thresholds=IOU_THRESHOLDS, keep=None) -> list[list[int]]:
+        """Per threshold, per prediction in score order, the gt row it claims or -1.
+
+        Each claims the free row that keep accepts with the highest IoU at or
+        above the threshold, ties to the lower row. A claim depends only on
+        earlier predictions, so the first k claims are the matching at budget k.
+        """
+        rows = [g for g, ann in enumerate(self.gt) if keep is None or keep(ann)]
+        out = []
+        for threshold in thresholds:
+            taken = [False] * len(self.gt)
+            out.append([])
+            for p in range(len(self.pred)):
+                best, best_iou = -1, 0.0
+                for g in rows:
+                    value = self.iou[g][p]
+                    if not taken[g] and value >= threshold and value > best_iou:
+                        best, best_iou = g, value
+                if best >= 0:
+                    taken[best] = True
+                out[-1].append(best)
+        return out
+
+
 def match(
     gt: Sequence[InstanceAnnotation],
     pred: Sequence[InstanceAnnotation],
@@ -122,41 +160,14 @@ def match(
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"IoU threshold must lie in (0, 1], got {iou_threshold}")
-    gt_order = sorted(gt, key=lambda ann: ann.id)
-    pred_order = sorted(pred, key=lambda ann: (-ann.score, ann.id))
-    matrix = iou_matrix(gt_order, pred_order)
-
-    taken = [False] * len(gt_order)
-    pairs: list[tuple[int, int, float]] = []
-    unmatched_pred: list[int] = []
-    for p_idx, p_ann in enumerate(pred_order):
-        best_idx = -1
-        best_iou = 0.0
-        for g_idx, g_ann in enumerate(gt_order):
-            if taken[g_idx]:
-                continue
-            if (
-                class_aware
-                and p_ann.category is not None
-                and g_ann.category is not None
-                and p_ann.category != g_ann.category
-            ):
-                continue
-            value = float(matrix[g_idx, p_idx])
-            if value >= iou_threshold and value > best_iou:
-                best_idx = g_idx
-                best_iou = value
-        if best_idx >= 0:
-            taken[best_idx] = True
-            pairs.append((gt_order[best_idx].id, p_ann.id, best_iou))
-        else:
-            unmatched_pred.append(p_ann.id)
-    unmatched_gt = [ann.id for g_idx, ann in enumerate(gt_order) if not taken[g_idx]]
-    return MatchResult(tuple(pairs), tuple(unmatched_gt), tuple(unmatched_pred))
-
-
-def _total_gt(gt_images: Sequence[Sequence[InstanceAnnotation]]) -> int:
-    return sum(len(image) for image in gt_images)
+    image = _Image(gt, pred, class_aware)
+    claims = image.claims((iou_threshold,))[0]
+    return MatchResult(
+        tuple((image.gt[g].id, ann.id, image.iou[g][p])
+              for p, (ann, g) in enumerate(zip(image.pred, claims)) if g >= 0),
+        tuple(ann.id for g, ann in enumerate(image.gt) if g not in claims),
+        tuple(ann.id for ann, g in zip(image.pred, claims) if g < 0),
+    )
 
 
 def _check_image_counts(gt_images, pred_images) -> None:
@@ -164,6 +175,49 @@ def _check_image_counts(gt_images, pred_images) -> None:
         raise ValueError(
             f"gt and prediction image counts differ: {len(gt_images)} vs {len(pred_images)}"
         )
+
+
+def _require_gt(gt_images, metric: str) -> int:
+    total = sum(len(image) for image in gt_images)
+    if total == 0:
+        raise EmptyGroundTruthError(f"{metric} needs at least one gt instance")
+    return total
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
+def _pooled_ap(images: Sequence[_Image], passes, total_gt: int) -> float:
+    """Mean over the thresholds of the area under the pooled PR curve.
+
+    A prediction counts as a true positive when its id is among the ids
+    matched in its image, so predictions sharing an id share the verdict.
+    """
+    keys = [(-ann.score, idx, ann.id) for idx, image in enumerate(images) for ann in image.pred]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    per_threshold = []
+    for t in range(len(IOU_THRESHOLDS)):
+        hits = []
+        for image, claims in zip(images, passes):
+            matched = {ann.id for ann, g in zip(image.pred, claims[t]) if g >= 0}
+            hits += [ann.id in matched for ann in image.pred]
+        flags = np.array(hits, dtype=bool)[order]
+        cum_tp = np.cumsum(flags)
+        precision = cum_tp / np.arange(1, flags.size + 1)
+        recall = cum_tp / total_gt
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        previous = np.concatenate(([0.0], recall[:-1]))
+        per_threshold.append(float(np.sum((recall - previous) * envelope * flags)))
+    return float(np.mean(per_threshold))
+
+
+def _recall(passes, k: int, total_gt: int) -> float:
+    """Mean over the thresholds of the claims by each image's first k predictions, per gt."""
+    matched = [sum(sum(g >= 0 for g in claims[t][:k]) for claims in passes)
+               for t in range(len(IOU_THRESHOLDS))]
+    return float(np.mean([count / total_gt for count in matched]))
 
 
 def average_precision(
@@ -179,34 +233,9 @@ def average_precision(
     the PR curve is integrated with monotone-envelope step interpolation.
     """
     _check_image_counts(gt_images, pred_images)
-    total_gt = _total_gt(gt_images)
-    if total_gt == 0:
-        raise EmptyGroundTruthError("average precision needs at least one gt instance")
-
-    per_threshold = []
-    for threshold in IOU_THRESHOLDS:
-        rows = []  # (-score, image index, pred id, is true positive)
-        for image_idx, (gt, pred) in enumerate(zip(gt_images, pred_images)):
-            result = match(gt, pred, threshold, class_aware=class_aware)
-            matched_pred = {pred_id for _, pred_id, _ in result.pairs}
-            for ann in pred:
-                rows.append((-ann.score, image_idx, ann.id, ann.id in matched_pred))
-        if not rows:
-            per_threshold.append(0.0)
-            continue
-        rows.sort()
-        flags = np.array([row[3] for row in rows], dtype=bool)
-        cum_tp = np.cumsum(flags)
-        precision = cum_tp / np.arange(1, flags.size + 1)
-        recall = cum_tp / total_gt
-        envelope = np.maximum.accumulate(precision[::-1])[::-1]
-        previous = np.concatenate(([0.0], recall[:-1]))
-        per_threshold.append(float(np.sum((recall - previous) * envelope * flags)))
-    return float(np.mean(per_threshold))
-
-
-def _top_k(pred: Sequence[InstanceAnnotation], k: int) -> list[InstanceAnnotation]:
-    return sorted(pred, key=lambda ann: (-ann.score, ann.id))[:k]
+    total_gt = _require_gt(gt_images, "average precision")
+    images = [_Image(gt, pred, class_aware) for gt, pred in zip(gt_images, pred_images)]
+    return _pooled_ap(images, [image.claims() for image in images], total_gt)
 
 
 def average_recall(
@@ -219,20 +248,20 @@ def average_recall(
     """Mean over the IoU thresholds of matched gt over total gt, keeping at
     most the k highest-scoring predictions per image."""
     _check_image_counts(gt_images, pred_images)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    total_gt = _total_gt(gt_images)
-    if total_gt == 0:
-        raise EmptyGroundTruthError("average recall needs at least one gt instance")
+    _check_k(k)
+    total_gt = _require_gt(gt_images, "average recall")
+    top_k = [sorted(pred, key=lambda ann: (-ann.score, ann.id))[:k] for pred in pred_images]
+    passes = [_Image(gt, pred, class_aware).claims() for gt, pred in zip(gt_images, top_k)]
+    return _recall(passes, k, total_gt)
 
-    recalls = []
-    for threshold in IOU_THRESHOLDS:
-        matched = 0
-        for gt, pred in zip(gt_images, pred_images):
-            result = match(gt, _top_k(pred, k), threshold, class_aware=class_aware)
-            matched += len(result.pairs)
-        recalls.append(matched / total_gt)
-    return float(np.mean(recalls))
+
+def _strata(heavy_cut: float):
+    """Membership tests of the occlusion strata: none, partial, heavy."""
+    return (
+        lambda ann: ann.occlusion_rate == 0.0,
+        lambda ann: 0.0 < ann.occlusion_rate <= heavy_cut,
+        lambda ann: ann.occlusion_rate > heavy_cut,
+    )
 
 
 def stratified_ar(
@@ -250,24 +279,13 @@ def stratified_ar(
     reports None rather than a number.
     """
     _check_image_counts(gt_images, pred_images)
-
-    def in_none(ann):
-        return ann.occlusion_rate == 0.0
-
-    def in_partial(ann):
-        return 0.0 < ann.occlusion_rate <= heavy_cut
-
-    def in_heavy(ann):
-        return ann.occlusion_rate > heavy_cut
-
-    out = []
-    for keep in (in_none, in_partial, in_heavy):
-        stratum = [[ann for ann in image if keep(ann)] for image in gt_images]
-        if _total_gt(stratum) == 0:
-            out.append(None)
-        else:
-            out.append(average_recall(stratum, pred_images, k, class_aware=class_aware))
-    return tuple(out)
+    strata = ([[ann for ann in image if keep(ann)] for image in gt_images]
+              for keep in _strata(heavy_cut))
+    return tuple(
+        average_recall(stratum, pred_images, k, class_aware=class_aware)
+        if any(stratum) else None
+        for stratum in strata
+    )
 
 
 def _order_counts(
@@ -277,15 +295,13 @@ def _order_counts(
     gt_confidence: float,
 ) -> tuple[int, int, int]:
     """(correct, evaluated, skipped ambiguous gt) over overlapping gt pairs."""
-    policy = ConfidencePolicy(constant=gt_confidence)
     by_id = dict(pred_maps)
     ids = sorted(scene_gt.ids())
-    gt_maps = {i: encode_semdist(scene_gt, i, policy) for i in ids}
-    amodal = {i: amodal_mask_of(scene_gt, i).bits for i in ids}
+    gt_maps = encode_scene(scene_gt, ConfidencePolicy(constant=gt_confidence))
+    # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
+    amodal = {i: gt_maps[i].values != 0.0 for i in ids}
 
-    correct = 0
-    evaluated = 0
-    skipped = 0
+    correct = evaluated = skipped = 0
     for id_a, id_b in combinations(ids, 2):
         if not (amodal[id_a] & amodal[id_b]).any():
             continue
@@ -385,45 +401,34 @@ def evaluate(
     elif len(image_names) != len(gt_images):
         raise ValueError("image_names length must match the image count")
 
-    ap = average_precision(gt_images, pred_images, class_aware=class_aware)
-    ar_small = average_recall(gt_images, pred_images, k_small, class_aware=class_aware)
-    ar_large = average_recall(gt_images, pred_images, k_large, class_aware=class_aware)
-    ar_none, ar_partial, ar_heavy = stratified_ar(
-        gt_images, pred_images, k_large, heavy_cut=heavy_cut, class_aware=class_aware
-    )
+    total_gt = _require_gt(gt_images, "average precision")
+    images = [_Image(gt, pred, class_aware) for gt, pred in zip(gt_images, pred_images)]
+    _check_k(k_small)
+    _check_k(k_large)
+    passes = [image.claims() for image in images]
+    strata = []
+    for keep in _strata(heavy_cut):
+        total = sum(keep(ann) for image in images for ann in image.gt)
+        strata.append(_recall([image.claims(keep=keep) for image in images], k_large, total)
+                      if total else None)
 
     order_value: Optional[float] = None
     if order_items is not None:
-        correct = 0
-        evaluated = 0
-        for scene, maps in order_items:
-            got, total, _ = _order_counts(scene, maps, c, gt_confidence)
-            correct += got
-            evaluated += total
+        counts = [_order_counts(scene, maps, c, gt_confidence) for scene, maps in order_items]
+        evaluated = sum(total for _, total, _ in counts)
         if evaluated > 0:
-            order_value = correct / evaluated
+            order_value = sum(correct for correct, _, _ in counts) / evaluated
 
-    diagnostics = []
-    for name, gt, pred in sorted(
-        zip(image_names, gt_images, pred_images), key=lambda row: row[0]
-    ):
-        result = match(gt, pred, 0.5, class_aware=class_aware)
-        diagnostics.append(
-            ImageDiagnostics(
-                image=name,
-                gt_count=len(gt),
-                pred_count=len(pred),
-                matched_at_50=len(result.pairs),
-            )
-        )
-
+    at_50 = IOU_THRESHOLDS.index(0.5)
+    diagnostics = [
+        ImageDiagnostics(name, len(image.gt), len(image.pred), sum(g >= 0 for g in claims[at_50]))
+        for name, image, claims in sorted(zip(image_names, images, passes), key=lambda r: r[0])
+    ]
     return EvalReport(
-        ap=ap,
-        ar10=ar_small,
-        ar100=ar_large,
-        ar_none=ar_none,
-        ar_partial=ar_partial,
-        ar_heavy=ar_heavy,
+        _pooled_ap(images, passes, total_gt),
+        _recall(passes, k_small, total_gt),
+        _recall(passes, k_large, total_gt),
+        *strata,  # ar_none, ar_partial, ar_heavy
         order_accuracy=order_value,
         per_image=tuple(diagnostics),
     )
@@ -440,13 +445,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "ar_heavy": report.ar_heavy,
         "order_accuracy": report.order_accuracy,
         "per_image": [
-            {
-                "image": diag.image,
-                "gt_count": diag.gt_count,
-                "pred_count": diag.pred_count,
-                "matched_at_50": diag.matched_at_50,
-            }
-            for diag in report.per_image
+            {key: getattr(d, key) for key in ("image", "gt_count", "pred_count", "matched_at_50")}
+            for d in report.per_image
         ],
         "meta": {
             "iou_thresholds": list(IOU_THRESHOLDS),

@@ -16,6 +16,7 @@ from semdist import (
     decode_amodal,
     decode_levels,
     decode_modal,
+    encode_scene,
     encode_semdist,
     global_layering_target,
     instance_layering_target,
@@ -75,6 +76,52 @@ class TestEncode:
     def test_unknown_instance(self, s0):
         with pytest.raises(UnknownInstanceError):
             encode_semdist(s0, 9)
+
+
+class TestEncodeScene:
+    @staticmethod
+    def _assert_matches_per_instance(scene, policy):
+        maps = encode_scene(scene, policy)
+        assert tuple(maps) == scene.ids()
+        for instance_id, semdist in maps.items():
+            expected = encode_semdist(scene, instance_id, policy)
+            assert semdist.values.tobytes() == expected.values.tobytes()
+
+    def test_constant_policy_matches_encode_semdist(self, corpus):
+        for scene in corpus[:10]:
+            self._assert_matches_per_instance(scene, 0.95)
+            self._assert_matches_per_instance(scene, ConfidencePolicy(constant=0.3))
+
+    def test_grid_policy_matches_encode_semdist(self, corpus):
+        rng = np.random.default_rng(5)
+        for scene in corpus[:10]:
+            grid = rng.uniform(0.01, 0.99, size=(scene.height, scene.width))
+            self._assert_matches_per_instance(scene, ConfidencePolicy(grid_values=grid))
+
+    def test_front_most_level_wins_and_unknown_ids_are_ignored(self):
+        # instance 1 sits twice in the left column stack; 9 is not a scene instance
+        stacks = np.array([[[2, 9]], [[1, 1]], [[1, 0]]], dtype=np.int32)
+        scene = LayerStackScene(2, 1, (InstanceRecord(2), InstanceRecord(1)), stacks)
+        self._assert_matches_per_instance(scene, 0.9)
+        assert encode_scene(scene, 0.9)[1].values.tolist() == [[F(0.9) - F(1.0), F(0.9) - F(1.0)]]
+
+    def test_deep_stacks_keep_exact_levels(self):
+        stacks = np.zeros((300, 1, 2), dtype=np.int32)
+        stacks[:, 0, 0] = np.arange(300) + 2
+        stacks[299, 0, 1] = 1  # instance 1 sits behind 299 others in one column
+        scene = LayerStackScene(2, 1, tuple(InstanceRecord(i) for i in range(1, 302)), stacks)
+        self._assert_matches_per_instance(scene, 0.9)
+        assert encode_scene(scene, 0.9)[1].values[0, 1] == F(0.9) - F(299.0)
+
+    def test_zero_depth_planes(self):
+        stacks = np.zeros((0, 2, 3), dtype=np.int32)
+        scene = LayerStackScene(3, 2, (InstanceRecord(4), InstanceRecord(2)), stacks)
+        assert scene.stacks.shape[0] == 0
+        maps = encode_scene(scene)
+        assert tuple(maps) == (4, 2)
+        for semdist in maps.values():
+            assert semdist.values.tolist() == [[0.0] * 3] * 2
+        self._assert_matches_per_instance(scene, 0.95)
 
 
 class TestConfidencePolicy:

@@ -94,6 +94,17 @@ class TestSceneJson:
         assert doc["stacks"]["4"] == [1, 2]
         assert doc["stacks"]["8"] == [2]
 
+    def test_sparse_keys_are_row_major(self):
+        # on a 3-wide, 2-high scene, (x=1, y=0) is key 1 row-major but 2
+        # column-major, and (x=0, y=1) is key 3 row-major but 1 column-major
+        stacks = np.zeros((1, 2, 3), dtype=np.int32)
+        stacks[0, 0, 1] = 1
+        stacks[0, 1, 0] = 2
+        scene = LayerStackScene(3, 2, (InstanceRecord(1), InstanceRecord(2)), stacks)
+        doc = scene_to_dict(scene)
+        assert doc["stacks"] == {"1": [1], "3": [2]}
+        assert scene_from_dict(doc) == scene
+
     def test_generated_scene_round_trips(self, corpus):
         for scene in corpus[:5]:
             assert scene_from_dict(scene_to_dict(scene)) == scene

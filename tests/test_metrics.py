@@ -1,3 +1,6 @@
+import dataclasses
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from semdist import (
     InstanceRecord,
     LayerStackScene,
     NoOverlappingPairsError,
+    OrderVerdict,
     PerturbConfig,
     SemDistMap,
     amodal_mask_of,
@@ -23,6 +27,7 @@ from semdist import (
     iou,
     iou_matrix,
     match,
+    object_order,
     order_accuracy,
     perturb,
     report_to_dict,
@@ -361,3 +366,157 @@ class TestEvaluate:
         images = [scene_annotations(s0)]
         with pytest.raises(ValueError):
             evaluate(images, images + images)
+
+
+def _reference_ap(gt_images, pred_images, class_aware):
+    """Pooled AP from one public match() call per image and threshold."""
+    total_gt = sum(len(image) for image in gt_images)
+    per_threshold = []
+    for threshold in IOU_THRESHOLDS:
+        rows = []
+        for image_idx, (gt, pred) in enumerate(zip(gt_images, pred_images)):
+            result = match(gt, pred, threshold, class_aware=class_aware)
+            matched = {pred_id for _, pred_id, _ in result.pairs}
+            rows += [(-ann.score, image_idx, ann.id, ann.id in matched) for ann in pred]
+        if not rows:
+            per_threshold.append(0.0)
+            continue
+        rows.sort()
+        flags = np.array([row[3] for row in rows], dtype=bool)
+        cum_tp = np.cumsum(flags)
+        precision = cum_tp / np.arange(1, flags.size + 1)
+        recall = cum_tp / total_gt
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        previous = np.concatenate(([0.0], recall[:-1]))
+        per_threshold.append(float(np.sum((recall - previous) * envelope * flags)))
+    return float(np.mean(per_threshold))
+
+
+def _reference_ar(gt_images, pred_images, k, class_aware):
+    """AR@k from public match() on each image's k top-scoring predictions;
+    None when there is no gt instance."""
+    total_gt = sum(len(image) for image in gt_images)
+    if total_gt == 0:
+        return None
+    recalls = []
+    for threshold in IOU_THRESHOLDS:
+        matched = 0
+        for gt, pred in zip(gt_images, pred_images):
+            top = sorted(pred, key=lambda ann: (-ann.score, ann.id))[:k]
+            matched += len(match(gt, top, threshold, class_aware=class_aware).pairs)
+        recalls.append(matched / total_gt)
+    return float(np.mean(recalls))
+
+
+def _reference_order(order_items):
+    """Pooled order accuracy from per-instance encodes and amodal masks."""
+    correct = evaluated = 0
+    for scene, maps in order_items:
+        by_id = dict(maps)
+        gt_maps = {i: encode_semdist(scene, i) for i in scene.ids()}
+        for id_a, id_b in combinations(sorted(scene.ids()), 2):
+            if not (amodal_mask_of(scene, id_a).bits & amodal_mask_of(scene, id_b).bits).any():
+                continue
+            verdict = object_order(gt_maps[id_a], gt_maps[id_b])
+            if verdict in (OrderVerdict.AMBIGUOUS, OrderVerdict.DISJOINT):
+                continue
+            evaluated += 1
+            if id_a in by_id and id_b in by_id:
+                correct += object_order(by_id[id_a], by_id[id_b]) == verdict
+    return correct / evaluated if evaluated else None
+
+
+class TestSinglePassEquivalence:
+    """evaluate() reads every metric off one IoU matrix and one greedy pass per
+    threshold; each field must equal a reference built from public match()."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, corpus):
+        scenes = corpus[:10]
+        gt_images, pred_images, order_items = [], [], []
+        for idx, scene in enumerate(scenes):
+            gt = [
+                dataclasses.replace(ann, category=(None, "a", "b")[(ann.id + idx) % 3])
+                for ann in scene_annotations(scene)
+            ]
+            config = PerturbConfig(
+                erode_radius=idx % 2, drop_occluded_prob=0.3, score_noise=0.3, seed=idx
+            )
+            pred = [
+                dataclasses.replace(ann, category=(None, "a", "b")[(ann.id * 7 + idx) % 3])
+                for ann in perturb(gt, config)
+            ]
+            gt_images.append(gt)
+            pred_images.append([] if idx == 4 else pred)  # one image without predictions
+            maps = [(ann.id, encode_semdist(scene, ann.id)) for ann in pred if ann.id % 3]
+            order_items.append((scene, maps))
+        return gt_images, pred_images, order_items
+
+    @pytest.mark.parametrize("class_aware", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 100])
+    def test_report_equals_public_match_reference(self, inputs, k, class_aware):
+        gt_images, pred_images, order_items = inputs
+        report = evaluate(
+            gt_images, pred_images, order_items=order_items,
+            k_small=k, k_large=k, class_aware=class_aware,
+        )
+        assert report.ap == _reference_ap(gt_images, pred_images, class_aware)
+        assert report.ar10 == report.ar100 == _reference_ar(gt_images, pred_images, k, class_aware)
+        assert report.ap == average_precision(gt_images, pred_images, class_aware=class_aware)
+        assert report.ar10 == average_recall(gt_images, pred_images, k, class_aware=class_aware)
+        strata = (
+            [[ann for ann in image if ann.occlusion_rate == 0.0] for image in gt_images],
+            [[ann for ann in image if 0.0 < ann.occlusion_rate <= 0.25] for image in gt_images],
+            [[ann for ann in image if ann.occlusion_rate > 0.25] for image in gt_images],
+        )
+        expected = tuple(_reference_ar(s, pred_images, k, class_aware) for s in strata)
+        assert (report.ar_none, report.ar_partial, report.ar_heavy) == expected
+        assert stratified_ar(gt_images, pred_images, k, class_aware=class_aware) == expected
+        assert report.order_accuracy == _reference_order(order_items)
+        assert [diag.matched_at_50 for diag in report.per_image] == [
+            len(match(gt, pred, 0.5, class_aware=class_aware).pairs)
+            for gt, pred in zip(gt_images, pred_images)
+        ]
+        assert report.per_image[4].pred_count == 0 and report.per_image[4].matched_at_50 == 0
+
+    def test_default_budgets_and_empty_stratum(self, inputs):
+        gt_images, pred_images, _ = inputs
+        # no occlusion rate lies above 1, so the heavy stratum is empty
+        report = evaluate(gt_images, pred_images, heavy_cut=1.0)
+        assert report.ar10 == _reference_ar(gt_images, pred_images, 10, False)
+        assert report.ar100 == _reference_ar(gt_images, pred_images, 100, False)
+        partial = [[ann for ann in image if ann.occlusion_rate > 0.0] for image in gt_images]
+        assert report.ar_partial == _reference_ar(partial, pred_images, 100, False)
+        assert report.ar_heavy is None
+        assert stratified_ar(gt_images, pred_images, heavy_cut=1.0)[2] is None
+
+
+class TestEvaluateEdges:
+    def test_duplicate_prediction_ids_both_count_as_hits(self):
+        # true positives are marked by prediction id per image, so two
+        # predictions sharing an id both count once that id is matched
+        gt = scene_annotations(generate(GenConfig(seed=3)))
+        pred = [dataclasses.replace(gt[0], score=0.9), dataclasses.replace(gt[0], score=0.8)]
+        assert average_precision([gt], [pred]) == 0.33333333333333337
+        report = evaluate([gt], [pred])
+        assert report.ap == average_precision([gt], [pred])
+        # recall counts matched gt, so the second copy adds nothing there
+        assert report.ar100 == average_recall([gt], [pred], 100) == 0.16666666666666669
+        assert report.per_image[0].matched_at_50 == 1
+
+    def test_error_order(self, s0):
+        good = scene_annotations(s0)
+        small = InstanceAnnotation.from_masks(
+            9, BinaryMask(np.ones((2, 2), bool)), BinaryMask(np.ones((2, 2), bool))
+        )
+        # image count, then image_names length, then empty gt, then dimensions
+        with pytest.raises(ValueError, match="image counts differ"):
+            evaluate([[]], [[small], [small]], image_names=["a", "b", "c"])
+        with pytest.raises(ValueError, match="image_names length"):
+            evaluate([[]], [[small]], image_names=["a", "b"])
+        with pytest.raises(EmptyGroundTruthError):
+            evaluate([[]], [[small]], k_small=0)
+        with pytest.raises(DimensionMismatchError):
+            evaluate([good], [[small]], k_small=0)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            evaluate([good], [good], k_small=0)
