@@ -8,7 +8,7 @@ thresholds are built from integers so boundary cases like an IoU of exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,27 +106,22 @@ class MatchResult:
 
 
 class _Image:
-    """One image ready for greedy matching: gt sorted by id, predictions by
-    descending score (ties to the lower id) and the IoU matrix between them,
-    built once and shared by every threshold, budget and stratum."""
+    """One image ready for matching: gt by id, predictions in score order and the
+    IoU matrix between them, built once for every threshold, budget and stratum."""
 
     def __init__(self, gt, pred, class_aware: bool) -> None:
         self.gt = sorted(gt, key=lambda ann: ann.id)
         self.pred = sorted(pred, key=lambda ann: (-ann.score, ann.id))
-        # with class_aware, pairs of two differing categories read 0: no threshold accepts 0
-        self.iou = [
-            [value if not class_aware or None in (g.category, p.category)
-             or g.category == p.category else 0.0 for p, value in zip(self.pred, row)]
-            for g, row in zip(self.gt, iou_matrix(self.gt, self.pred).tolist())
-        ]
+        self.iou = iou_matrix(self.gt, self.pred).tolist()
+        if class_aware:  # a pair of two differing categories reads 0, which no threshold accepts
+            for (g, a), (p, b) in product(enumerate(self.gt), enumerate(self.pred)):
+                if None not in (a.category, b.category) and a.category != b.category:
+                    self.iou[g][p] = 0.0
 
     def claims(self, thresholds=IOU_THRESHOLDS, keep=None) -> list[list[int]]:
-        """Per threshold, per prediction in score order, the gt row it claims or -1.
-
-        Each claims the free row that keep accepts with the highest IoU at or
-        above the threshold, ties to the lower row. A claim depends only on
-        earlier predictions, so the first k claims are the matching at budget k.
-        """
+        """Per threshold, per prediction in score order, the gt row it claims by the
+        rule of match, among the rows keep accepts, or -1. A claim depends only on
+        earlier predictions, so the first k claims are the matching at budget k."""
         rows = [g for g, ann in enumerate(self.gt) if keep is None or keep(ann)]
         out = []
         for threshold in thresholds:
@@ -163,10 +158,10 @@ def match(
     image = _Image(gt, pred, class_aware)
     claims = image.claims((iou_threshold,))[0]
     return MatchResult(
-        tuple((image.gt[g].id, ann.id, image.iou[g][p])
-              for p, (ann, g) in enumerate(zip(image.pred, claims)) if g >= 0),
-        tuple(ann.id for g, ann in enumerate(image.gt) if g not in claims),
-        tuple(ann.id for ann, g in zip(image.pred, claims) if g < 0),
+        pairs=tuple((image.gt[g].id, ann.id, image.iou[g][p])
+                    for p, (ann, g) in enumerate(zip(image.pred, claims)) if g >= 0),
+        unmatched_gt=tuple(ann.id for g, ann in enumerate(image.gt) if g not in claims),
+        unmatched_pred=tuple(ann.id for ann, g in zip(image.pred, claims) if g < 0),
     )
 
 
@@ -190,11 +185,8 @@ def _check_k(k: int) -> None:
 
 
 def _pooled_ap(images: Sequence[_Image], passes, total_gt: int) -> float:
-    """Mean over the thresholds of the area under the pooled PR curve.
-
-    A prediction counts as a true positive when its id is among the ids
-    matched in its image, so predictions sharing an id share the verdict.
-    """
+    """average_precision from the passes. A prediction is a true positive when its id
+    is among the ids matched in its image, so predictions sharing an id share the verdict."""
     keys = [(-ann.score, idx, ann.id) for idx, image in enumerate(images) for ann in image.pred]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     per_threshold = []
@@ -250,18 +242,22 @@ def average_recall(
     _check_image_counts(gt_images, pred_images)
     _check_k(k)
     total_gt = _require_gt(gt_images, "average recall")
-    top_k = [sorted(pred, key=lambda ann: (-ann.score, ann.id))[:k] for pred in pred_images]
-    passes = [_Image(gt, pred, class_aware).claims() for gt, pred in zip(gt_images, top_k)]
+    passes = [_Image(gt, pred, class_aware).claims() for gt, pred in zip(gt_images, pred_images)]
     return _recall(passes, k, total_gt)
 
 
-def _strata(heavy_cut: float):
-    """Membership tests of the occlusion strata: none, partial, heavy."""
-    return (
+def _strata_ar(images: Sequence[_Image], k: int, heavy_cut: float):
+    """AR@k of the occlusion strata none, partial and heavy; None for an empty one."""
+    out = []
+    for keep in (
         lambda ann: ann.occlusion_rate == 0.0,
         lambda ann: 0.0 < ann.occlusion_rate <= heavy_cut,
         lambda ann: ann.occlusion_rate > heavy_cut,
-    )
+    ):
+        total = sum(keep(ann) for image in images for ann in image.gt)
+        out.append(_recall([image.claims(keep=keep) for image in images], k, total)
+                   if total else None)
+    return tuple(out)
 
 
 def stratified_ar(
@@ -279,13 +275,10 @@ def stratified_ar(
     reports None rather than a number.
     """
     _check_image_counts(gt_images, pred_images)
-    strata = ([[ann for ann in image if keep(ann)] for image in gt_images]
-              for keep in _strata(heavy_cut))
-    return tuple(
-        average_recall(stratum, pred_images, k, class_aware=class_aware)
-        if any(stratum) else None
-        for stratum in strata
-    )
+    if any(gt_images):
+        _check_k(k)  # every gt instance lies in one stratum; k matters only if one is non-empty
+    images = [_Image(gt, pred, class_aware) for gt, pred in zip(gt_images, pred_images)]
+    return _strata_ar(images, k, heavy_cut)
 
 
 def _order_counts(
@@ -301,7 +294,9 @@ def _order_counts(
     # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
     amodal = {i: gt_maps[i].values != 0.0 for i in ids}
 
-    correct = evaluated = skipped = 0
+    correct = 0
+    evaluated = 0
+    skipped = 0
     for id_a, id_b in combinations(ids, 2):
         if not (amodal[id_a] & amodal[id_b]).any():
             continue
@@ -406,11 +401,7 @@ def evaluate(
     _check_k(k_small)
     _check_k(k_large)
     passes = [image.claims() for image in images]
-    strata = []
-    for keep in _strata(heavy_cut):
-        total = sum(keep(ann) for image in images for ann in image.gt)
-        strata.append(_recall([image.claims(keep=keep) for image in images], k_large, total)
-                      if total else None)
+    ar_none, ar_partial, ar_heavy = _strata_ar(images, k_large, heavy_cut)
 
     order_value: Optional[float] = None
     if order_items is not None:
@@ -421,14 +412,17 @@ def evaluate(
 
     at_50 = IOU_THRESHOLDS.index(0.5)
     diagnostics = [
-        ImageDiagnostics(name, len(image.gt), len(image.pred), sum(g >= 0 for g in claims[at_50]))
+        ImageDiagnostics(image=name, gt_count=len(image.gt), pred_count=len(image.pred),
+                         matched_at_50=sum(g >= 0 for g in claims[at_50]))
         for name, image, claims in sorted(zip(image_names, images, passes), key=lambda r: r[0])
     ]
     return EvalReport(
-        _pooled_ap(images, passes, total_gt),
-        _recall(passes, k_small, total_gt),
-        _recall(passes, k_large, total_gt),
-        *strata,  # ar_none, ar_partial, ar_heavy
+        ap=_pooled_ap(images, passes, total_gt),
+        ar10=_recall(passes, k_small, total_gt),
+        ar100=_recall(passes, k_large, total_gt),
+        ar_none=ar_none,
+        ar_partial=ar_partial,
+        ar_heavy=ar_heavy,
         order_accuracy=order_value,
         per_image=tuple(diagnostics),
     )
@@ -445,8 +439,13 @@ def report_to_dict(report: EvalReport) -> dict:
         "ar_heavy": report.ar_heavy,
         "order_accuracy": report.order_accuracy,
         "per_image": [
-            {key: getattr(d, key) for key in ("image", "gt_count", "pred_count", "matched_at_50")}
-            for d in report.per_image
+            {
+                "image": diag.image,
+                "gt_count": diag.gt_count,
+                "pred_count": diag.pred_count,
+                "matched_at_50": diag.matched_at_50,
+            }
+            for diag in report.per_image
         ],
         "meta": {
             "iou_thresholds": list(IOU_THRESHOLDS),

@@ -520,3 +520,20 @@ class TestEvaluateEdges:
             evaluate([good], [[small]], k_small=0)
         with pytest.raises(ValueError, match="k must be at least 1"):
             evaluate([good], [good], k_small=0)
+
+    def test_recall_functions_check_every_prediction(self, s0):
+        good = scene_annotations(s0)
+        small = InstanceAnnotation.from_masks(
+            9, BinaryMask(np.ones((2, 2), bool)), BinaryMask(np.ones((2, 2), bool)), score=0.0
+        )
+        # like evaluate, the recall functions reject a mis-sized mask even past the budget
+        with pytest.raises(DimensionMismatchError):
+            average_recall([good], [good + [small]], 1)
+        with pytest.raises(DimensionMismatchError):
+            stratified_ar([good], [good + [small]], 1)
+        # a bad k still comes before the dimension check, and only with some gt
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            average_recall([good], [[small]], 0)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            stratified_ar([good], [[small]], 0)
+        assert stratified_ar([[]], [[small]], 0) == (None, None, None)
