@@ -5,7 +5,8 @@ Formats:
     foreground runs and always start with a (possibly zero-length)
     background run, matching the familiar detection-dataset convention
   * scene JSON: width/height, instance list, per-pixel stacks either dense
-    (row-major list of id lists) or sparse ({"pixel_index": [ids]})
+    (row-major list of id lists) or sparse ({"y*width+x": [ids]}, keys
+    written in string order: "10" before "2")
   * annotation JSON: per-image instance records with RLE masks
   * SDM binary: magic "SDM1", little-endian u32 width/height/channels, then
     channel-planar row-major float32 values
@@ -21,6 +22,8 @@ import json
 import re
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import getitem
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -199,35 +202,84 @@ def _get_required(obj: dict, key: str, path: str):
 # scene JSON
 
 
-def scene_to_dict(scene: LayerStackScene, stacks: str = "sparse") -> dict:
-    """Scene as a JSON-ready dict; stacks is either "sparse" or "dense"."""
+_INT32_MAX = int(np.iinfo(np.int32).max)  # stacks are int32
+_SPARSE_KEY = "0|[1-9][0-9]*"
+_SPARSE_KEYS = re.compile(f"(?:{_SPARSE_KEY})(?:,(?:{_SPARSE_KEY}))*")
+
+
+def _pixel_stacks(scene: LayerStackScene, dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major pixel indices (the occupied ones, or all when dense), their
+    stack lengths, and their ids front to back in one flat array, empty
+    slots dropped."""
+    depth = scene.stacks.shape[0]
+    flat = scene.stacks.reshape(depth, scene.height * scene.width)
+    pixels = np.arange(flat.shape[1]) if dense else np.flatnonzero(flat.any(axis=0))
+    columns = flat[:, pixels].T
+    filled = columns != 0
+    return pixels, filled.sum(axis=1), columns[filled]
+
+
+def _ranks(lengths: np.ndarray) -> np.ndarray:
+    """Depth of every flat id inside its stack, for stacks of these lengths."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _stack_form(stacks: str) -> bool:
+    """True for "dense", False for "sparse"."""
     if stacks not in ("sparse", "dense"):
         raise ValueError(f'stacks must be "sparse" or "dense", got {stacks!r}')
+    return stacks == "dense"
+
+
+def _scene_fields(scene: LayerStackScene) -> dict:
     instances = [
         {"id": record.id, "category": record.category} for record in scene.instances
     ]
-    arr = scene.stacks
-    cells: Union[dict, list]
-    if stacks == "dense":
-        cells = [
-            [int(v) for v in arr[:, y, x] if v != 0]
-            for y in range(scene.height)
-            for x in range(scene.width)
-        ]
-    else:
-        cells = {}
-        occupied = np.argwhere(arr.any(axis=0)) if arr.size else []
-        for y, x in occupied:
-            column = arr[:, y, x]
-            cells[str(int(y) * scene.width + int(x))] = [
-                int(v) for v in column[column != 0]
-            ]
+    return {"width": scene.width, "height": scene.height, "instances": instances}
+
+
+def scene_to_dict(scene: LayerStackScene, stacks: str = "sparse") -> dict:
+    """Scene as a JSON-ready dict; stacks is either "sparse" or "dense"."""
+    dense = _stack_form(stacks)
+    pixels, lengths, ids = _pixel_stacks(scene, dense)
+    ends = np.cumsum(lengths).tolist()
+    cells = list(map(getitem, repeat(ids.tolist()), map(slice, [0] + ends[:-1], ends)))
     return {
-        "width": scene.width,
-        "height": scene.height,
-        "instances": instances,
-        "stacks": cells,
+        **_scene_fields(scene),
+        "stacks": cells if dense else dict(zip(map(str, pixels.tolist()), cells)),
     }
+
+
+def _stacks_text(pixels: np.ndarray, lengths: np.ndarray, ids: np.ndarray, dense: bool) -> str:
+    """The "stacks" value of scene_to_dict as _dump_json renders it inside the
+    root object: one id per line, "[]" for an empty dense cell, "{}" for an
+    empty sparse block, and sparse keys in string order ("10" before "2")."""
+    if not lengths.size:
+        return "{}"  # a dense block has a cell per pixel, so only sparse is empty
+    keys = [] if dense else list(map(str, pixels.tolist()))
+    # sort_keys orders the sparse cells; every cell is four text slots
+    # (separator, key, "[" and its closing bracket) plus one slot per id
+    order = np.arange(lengths.size) if dense else sorted(range(len(keys)), key=keys.__getitem__)
+    size = lengths + 4
+    start = np.empty_like(size)
+    start[order] = np.cumsum(size[order]) - size[order]
+    slots = np.empty(int(size.sum()), dtype=object)
+    slots[start] = ",\n    " if dense else ',\n    "'
+    slots[0] = "[\n    " if dense else '{\n    "'
+    slots[start + 1] = "" if dense else keys
+    slots[start + 2] = "[" if dense else '": ['
+    close = start + size - 1
+    slots[close] = "\n    ]"
+    slots[close[lengths == 0]] = "]"
+    # one id per line, after a comma unless it opens its cell
+    rank = _ranks(lengths)
+    names, inverse = np.unique(ids, return_inverse=True)
+    lines = np.array(
+        [(",\n      " + name, "\n      " + name) for name in map(str, names.tolist())],
+        dtype=object,
+    ).reshape(-1, 2)
+    slots[np.repeat(start, lengths) + 3 + rank] = lines[inverse, (rank == 0).view(np.int8)]
+    return "".join(slots.tolist()) + ("\n  ]" if dense else "\n  }")
 
 
 def _parse_instances(raw, path: str) -> tuple[InstanceRecord, ...]:
@@ -256,10 +308,72 @@ def _parse_stack_cell(raw, path: str, known: set[int]) -> list[int]:
         instance_id = _require_int(value, entry_path, 1)
         if instance_id not in known:
             raise SchemaError(entry_path, f"id {instance_id} missing from the instance list")
+        if instance_id > _INT32_MAX:
+            raise SchemaError(entry_path, f"id {instance_id} exceeds the int32 stack range")
         if instance_id in cell:
             raise SchemaError(entry_path, f"id {instance_id} repeated within one pixel stack")
         cell.append(instance_id)
     return cell
+
+
+def _raise_stack_defect(raw_stacks: Union[dict, list], width: int, height: int, known: set[int]) -> None:
+    """Walk the stack cells in document order and raise the first defect.
+    Runs only after _bulk_stacks has found one, to name its JSON path."""
+    if isinstance(raw_stacks, list):
+        for index, raw_cell in enumerate(raw_stacks):
+            _parse_stack_cell(raw_cell, f"$.stacks[{index}]", known)
+    else:
+        for key, raw_cell in raw_stacks.items():
+            key_path = f'$.stacks["{key}"]'
+            if not isinstance(key, str) or not re.fullmatch(_SPARSE_KEY, key):
+                raise SchemaError(key_path, "sparse keys must be decimal pixel indices")
+            try:
+                index = int(key)
+            except ValueError:  # more digits than int() parses: beyond any grid
+                index = width * height
+            if index >= width * height:
+                raise SchemaError(key_path, f"pixel index {key} outside a {width}x{height} grid")
+            if not _parse_stack_cell(raw_cell, key_path, known):
+                raise SchemaError(key_path, "sparse stack cells must not be empty")
+    raise AssertionError("the bulk stack check rejected stacks the walk accepts")
+
+
+def _bulk_stacks(
+    keys: Optional[list], cells: list, area: int, known: set[int]
+) -> Optional[tuple[Union[list, np.ndarray], np.ndarray, np.ndarray]]:
+    """(pixel indices, cell lengths, flat ids) of stacks that pass every check
+    of _raise_stack_defect, checked in bulk; None when some cell or key fails.
+    keys is None for dense stacks, whose pixel indices are the cell positions.
+    Sparse indices stay Python ints until the stacks array proves they fit."""
+    if not all(map(isinstance, cells, repeat(list))):
+        return None
+    flat = list(chain.from_iterable(cells))
+    if not all(map(isinstance, flat, repeat(int))) or any(map(isinstance, flat, repeat(bool))):
+        return None
+    if flat and not (1 <= min(flat) and max(flat) <= _INT32_MAX):
+        return None
+    ids = np.array(flat, dtype=np.int64)
+    if not np.isin(ids, [i for i in known if i <= _INT32_MAX]).all():
+        return None
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    # one (cell, id) key per entry: a repeat within a cell sorts next to its twin
+    entries = np.sort(np.repeat(np.arange(len(cells), dtype=np.int64), lengths) << 31 | ids)
+    if (entries[1:] == entries[:-1]).any():
+        return None
+    if keys is None:
+        return np.arange(len(cells)), lengths, ids
+    if not keys:
+        return [], lengths, ids
+    if not lengths.all():
+        return None
+    try:
+        joined = ",".join(keys)  # TypeError on a key that is not a str
+        indices = list(map(int, keys))  # no key that int() takes holds a comma
+    except (TypeError, ValueError):
+        return None
+    if not _SPARSE_KEYS.fullmatch(joined) or max(indices) >= area:
+        return None
+    return indices, lengths, ids
 
 
 def scene_from_dict(doc) -> LayerStackScene:
@@ -272,44 +386,42 @@ def scene_from_dict(doc) -> LayerStackScene:
     known = {record.id for record in records}
 
     raw_stacks = _get_required(root, "stacks", "$")
-    cells: dict[int, list[int]] = {}
     if isinstance(raw_stacks, list):
         if len(raw_stacks) != width * height:
             raise SchemaError(
                 "$.stacks",
                 f"dense stacks need {width * height} entries, got {len(raw_stacks)}",
             )
-        for index, raw_cell in enumerate(raw_stacks):
-            cell = _parse_stack_cell(raw_cell, f"$.stacks[{index}]", known)
-            if cell:
-                cells[index] = cell
+        keys, cells = None, raw_stacks
     elif isinstance(raw_stacks, dict):
-        for key, raw_cell in raw_stacks.items():
-            key_path = f'$.stacks["{key}"]'
-            if not isinstance(key, str) or not re.fullmatch(r"0|[1-9][0-9]*", key):
-                raise SchemaError(key_path, "sparse keys must be decimal pixel indices")
-            index = int(key)
-            if index >= width * height:
-                raise SchemaError(
-                    key_path, f"pixel index {index} outside a {width}x{height} grid"
-                )
-            cell = _parse_stack_cell(raw_cell, key_path, known)
-            if not cell:
-                raise SchemaError(key_path, "sparse stack cells must not be empty")
-            cells[index] = cell
+        keys, cells = list(raw_stacks), list(raw_stacks.values())
     else:
         raise SchemaError("$.stacks", "expected an array (dense) or object (sparse)")
+    checked = _bulk_stacks(keys, cells, width * height, known)
+    if checked is None:
+        _raise_stack_defect(raw_stacks, width, height, known)
+    pixels, lengths, ids = checked
 
-    depth = max((len(cell) for cell in cells.values()), default=0)
-    stacks = np.zeros((depth, height, width), dtype=np.int32)
-    for index, cell in cells.items():
-        y, x = divmod(index, width)
-        stacks[: len(cell), y, x] = cell
+    depth = int(lengths.max(initial=0))
+    try:
+        stacks = np.zeros((depth, height, width), dtype=np.int32)
+    except (ValueError, MemoryError) as exc:
+        raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc
+    pixel = np.repeat(np.asarray(pixels, dtype=np.intp), lengths)
+    stacks.reshape(depth, height * width)[_ranks(lengths), pixel] = ids
     return LayerStackScene(width, height, records, stacks)
 
 
 def write_scene(scene: LayerStackScene, path: PathLike, stacks: str = "sparse") -> None:
-    Path(path).write_text(_dump_json(scene_to_dict(scene, stacks)), encoding="utf-8")
+    """Write _dump_json(scene_to_dict(scene, stacks)) byte for byte, with the
+    stacks block rendered from arrays by _stacks_text."""
+    dense = _stack_form(stacks)
+    fields = _scene_fields(scene)
+    width = fields.pop("width")
+    head = _dump_json(fields)  # ends "\n}\n"; "stacks" and "width" sort after its keys
+    block = _stacks_text(*_pixel_stacks(scene, dense), dense)
+    text = f'{head[:-3]},\n  "stacks": {block},\n  "width": {json.dumps(width)}\n}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_scene(path: PathLike) -> LayerStackScene:

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdist import (
     BinaryMask,
@@ -14,6 +17,7 @@ from semdist import (
     RleMask,
     SchemaError,
     SdmFormatError,
+    SemDistError,
     SemDistMap,
     amodal_mask_of,
     annotations_from_dict,
@@ -35,6 +39,14 @@ from semdist import (
     write_ppm,
     write_scene,
     write_semdist,
+)
+from semdist.io import (
+    _get_required,
+    _parse_instances,
+    _reject_unknown,
+    _require_int,
+    _require_list,
+    _require_object,
 )
 
 
@@ -206,6 +218,277 @@ class TestSceneJson:
         doc["width"] = True
         with pytest.raises(SchemaError):
             scene_from_dict(doc)
+
+
+def _reference_scene_to_dict(scene, stacks="sparse"):
+    """scene_to_dict written as one Python step per pixel: the reference
+    the golden tests hold the vectorised writer to."""
+    instances = [{"id": r.id, "category": r.category} for r in scene.instances]
+    arr = scene.stacks
+    if stacks == "dense":
+        cells = [
+            [int(v) for v in arr[:, y, x] if v != 0]
+            for y in range(scene.height)
+            for x in range(scene.width)
+        ]
+    else:
+        cells = {}
+        occupied = np.argwhere(arr.any(axis=0)) if arr.size else []
+        for y, x in occupied:
+            column = arr[:, y, x]
+            cells[str(int(y) * scene.width + int(x))] = [int(v) for v in column[column != 0]]
+    return {"width": scene.width, "height": scene.height, "instances": instances, "stacks": cells}
+
+
+def _oracle_parse_stack_cell(raw, path, known):
+    entries = _require_list(raw, path)
+    cell = []
+    for pos, value in enumerate(entries):
+        entry_path = f"{path}[{pos}]"
+        instance_id = _require_int(value, entry_path, 1)
+        if instance_id not in known:
+            raise SchemaError(entry_path, f"id {instance_id} missing from the instance list")
+        if instance_id > 2**31 - 1:  # stacks are int32
+            raise SchemaError(entry_path, f"id {instance_id} exceeds the int32 stack range")
+        if instance_id in cell:
+            raise SchemaError(entry_path, f"id {instance_id} repeated within one pixel stack")
+        cell.append(instance_id)
+    return cell
+
+
+def _oracle_scene_from_dict(doc):
+    """scene_from_dict written as a walk over every stack cell: the
+    reference the property test holds the bulk reader to. A listed id above
+    the int32 range is rejected at its stack entry, in document order like
+    every other rule."""
+    root = _require_object(doc, "$")
+    _reject_unknown(root, ("width", "height", "instances", "stacks"), "$")
+    width = _require_int(_get_required(root, "width", "$"), "$.width", 1)
+    height = _require_int(_get_required(root, "height", "$"), "$.height", 1)
+    records = _parse_instances(_get_required(root, "instances", "$"), "$.instances")
+    known = {record.id for record in records}
+    raw_stacks = _get_required(root, "stacks", "$")
+    cells = {}
+    if isinstance(raw_stacks, list):
+        if len(raw_stacks) != width * height:
+            raise SchemaError("$.stacks", "dense length")
+        for index, raw_cell in enumerate(raw_stacks):
+            cell = _oracle_parse_stack_cell(raw_cell, f"$.stacks[{index}]", known)
+            if cell:
+                cells[index] = cell
+    elif isinstance(raw_stacks, dict):
+        for key, raw_cell in raw_stacks.items():
+            key_path = f'$.stacks["{key}"]'
+            if not isinstance(key, str) or not re.fullmatch(r"0|[1-9][0-9]*", key):
+                raise SchemaError(key_path, "sparse keys must be decimal pixel indices")
+            index = int(key)
+            if index >= width * height:
+                raise SchemaError(key_path, "pixel index outside the grid")
+            cell = _oracle_parse_stack_cell(raw_cell, key_path, known)
+            if not cell:
+                raise SchemaError(key_path, "sparse stack cells must not be empty")
+            cells[index] = cell
+    else:
+        raise SchemaError("$.stacks", "expected an array (dense) or object (sparse)")
+    depth = max((len(cell) for cell in cells.values()), default=0)
+    stacks = np.zeros((depth, height, width), dtype=np.int32)
+    for index, cell in cells.items():
+        y, x = divmod(index, width)
+        stacks[: len(cell), y, x] = cell
+    return LayerStackScene(width, height, records, stacks)
+
+
+def _edge_scenes():
+    empty = LayerStackScene(5, 4, (InstanceRecord(3),), np.zeros((0, 4, 5), dtype=np.int32))
+    # stacks with gaps and a non-positive id, as validate_scene allows
+    gapped = np.zeros((3, 2, 3), dtype=np.int32)
+    gapped[1, 0, 0] = 1
+    gapped[:, 1, 2] = (2, 0, 1)
+    gapped[2, 0, 2] = -1
+    gaps = LayerStackScene(3, 2, (InstanceRecord(1), InstanceRecord(2)), gapped)
+    # sixteen occupied pixels: keys "10".."15" sort before "2" as strings
+    full = np.zeros((2, 4, 4), dtype=np.int32)
+    full[0] = 7
+    full[1, 1:3] = 12
+    categories = (
+        InstanceRecord(7, None),
+        InstanceRecord(12, 'a "stacks": {} b, "q\'uo"te\\'),
+    )
+    crowded = LayerStackScene(4, 4, categories, full)
+    unicode = LayerStackScene(2, 2, (InstanceRecord(1, "ñandú 日本"),), np.ones((1, 2, 2), dtype=np.int32))
+    return [empty, gaps, crowded, unicode]
+
+
+_GOLDEN_SCENES = (
+    [generate(GenConfig(seed=s, width=16, height=16)) for s in range(6)]
+    + [generate(GenConfig(seed=s)) for s in range(3)]
+    + [generate(GenConfig(seed=0, width=256, height=256, object_count_range=(8, 12)))]
+    + _edge_scenes()
+)
+
+
+def _plain_ints(node):
+    if isinstance(node, dict):
+        return all(map(_plain_ints, node.values()))
+    if isinstance(node, list):
+        return all(map(_plain_ints, node))
+    return node is None or type(node) in (int, str)
+
+
+class TestSceneWriterGolden:
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    @pytest.mark.parametrize("index", range(len(_GOLDEN_SCENES)))
+    def test_matches_per_pixel_reference(self, index, form, tmp_path):
+        scene = _GOLDEN_SCENES[index]
+        doc = scene_to_dict(scene, form)
+        reference = _reference_scene_to_dict(scene, form)
+        assert doc == reference
+        assert _plain_ints(doc)
+        if form == "sparse":
+            assert list(doc["stacks"]) == list(reference["stacks"])
+        path = tmp_path / "scene.json"
+        write_scene(scene, path, form)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_unknown_form_rejected(self, s0, tmp_path):
+        with pytest.raises(ValueError):
+            write_scene(s0, tmp_path / "scene.json", "csv")
+        with pytest.raises(ValueError):
+            scene_to_dict(s0, "csv")
+
+
+class TestSceneReaderLimits:
+    @pytest.mark.parametrize(
+        "form, cell, path",
+        [("sparse", "0", '$.stacks["0"][0]'), ("dense", 0, "$.stacks[0][1]")],
+    )
+    def test_id_beyond_int32_in_a_stack(self, s0, form, cell, path):
+        doc = scene_to_dict(s0, form)
+        doc["instances"].append({"id": 2**40, "category": None})
+        if form == "sparse":
+            doc["stacks"][cell] = [2**40]
+        else:
+            doc["stacks"][cell] = [1, 2**40]
+        with pytest.raises(SchemaError) as err:
+            scene_from_dict(doc)
+        assert err.value.path == path
+
+    def test_id_beyond_int32_outside_the_stacks_still_reads(self, s0):
+        doc = scene_to_dict(s0)
+        doc["instances"].append({"id": 2**40, "category": None})
+        scene = scene_from_dict(doc)
+        assert scene.ids() == (1, 2, 2**40)
+        assert np.array_equal(scene.stacks, s0.stacks)
+
+    @pytest.mark.parametrize("stacks", [{}, {"0": [1]}])
+    def test_grid_too_big_to_hold(self, s0, stacks):
+        # numpy refuses this shape outright, without trying to allocate it
+        doc = scene_to_dict(s0)
+        doc["width"] = doc["height"] = 2**40
+        doc["stacks"] = stacks
+        with pytest.raises(SchemaError) as err:
+            scene_from_dict(doc)
+        assert err.value.path == "$"
+
+    @pytest.mark.parametrize("key", [5, 1.5, None, "1,2", "1_0", "١"])
+    def test_keys_that_are_not_decimal_strings(self, s0, key):
+        doc = scene_to_dict(s0)
+        doc["stacks"][key] = [1]
+        with pytest.raises(SchemaError) as err:
+            scene_from_dict(doc)
+        assert err.value.path == f'$.stacks["{key}"]'
+
+    def test_key_too_long_to_parse(self, s0):
+        doc = scene_to_dict(s0)
+        key = "1" + "0" * 5000
+        doc["stacks"][key] = [1]
+        with pytest.raises(SchemaError) as err:
+            scene_from_dict(doc)
+        assert err.value.path == f'$.stacks["{key}"]'
+
+
+_MUTATIONS = (
+    "drop", "duplicate", "unknown", "bool", "float", "huge", "huge_known", "zero",
+    "bad_key", "out_of_range", "move", "empty", "not_list",
+)
+_BAD_KEYS = ("01", "-1", "1e3", "", " 1", "1,2", "+1", "١", 5, 1.5, None)
+
+
+def _mutate(doc, kind, draw):
+    stacks = doc["stacks"]
+    sparse = isinstance(stacks, dict)
+    slots = list(stacks) if sparse else list(range(len(stacks)))
+    if not slots:
+        stacks["0"] = [doc["instances"][0]["id"]]
+        return
+    slot = draw(st.sampled_from(slots))
+    cell = stacks[slot]
+    known = [item["id"] for item in doc["instances"]]
+    at = draw(st.integers(0, len(cell))) if isinstance(cell, list) else 0
+    if kind in ("bad_key", "out_of_range", "move") and not sparse:
+        stacks.append([]) if kind == "out_of_range" else stacks.pop()
+    elif kind == "bad_key":
+        stacks[draw(st.sampled_from(_BAD_KEYS))] = stacks.pop(slot)
+    elif kind == "out_of_range":
+        area = doc["width"] * doc["height"]
+        stacks[str(area + draw(st.integers(0, 3)))] = stacks.pop(slot)
+    elif kind == "move":
+        area = doc["width"] * doc["height"]
+        stacks[str(draw(st.integers(0, area - 1)))] = stacks.pop(slot)
+    elif kind == "empty":
+        stacks[slot] = []
+    elif kind == "not_list":
+        stacks[slot] = draw(st.sampled_from([5, "1", None, {"0": 1}, (1,)]))
+    elif not isinstance(cell, list):
+        return
+    elif kind == "drop":
+        if cell:
+            del cell[min(at, len(cell) - 1)]
+    elif kind == "duplicate":
+        if cell:
+            cell.insert(at, draw(st.sampled_from(cell)))
+    elif kind == "huge_known":
+        doc["instances"].append({"id": 2**40, "category": None})
+        cell.insert(at, 2**40)
+    else:
+        value = {
+            "unknown": max(known, default=0) + 1,
+            "bool": True,
+            "float": float(known[0]) if known else 1.0,
+            "huge": draw(st.sampled_from([2**31, 2**40, 2**70])),
+            "zero": draw(st.sampled_from([0, -1])),
+        }[kind]
+        cell.insert(at, value)
+
+
+@st.composite
+def _mutated_scene_docs(draw):
+    size = draw(st.sampled_from([3, 5, 12]))
+    scene = generate(GenConfig(seed=draw(st.integers(0, 40)), width=size, height=size))
+    doc = json.loads(json.dumps(scene_to_dict(scene, draw(st.sampled_from(["sparse", "dense"])))))
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(doc, draw(st.sampled_from(_MUTATIONS)), draw)
+    return doc
+
+
+class TestSceneReaderEquivalence:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_mutated_scene_docs())
+    def test_bulk_reader_matches_per_cell_oracle(self, doc):
+        try:
+            expected = _oracle_scene_from_dict(doc)
+        except SemDistError as exc:
+            expected = exc
+        try:
+            got = scene_from_dict(doc)
+        except SemDistError as exc:
+            got = exc
+        if isinstance(expected, LayerStackScene):
+            assert got == expected
+        else:
+            assert type(got) is type(expected)
+            assert got.path == expected.path
 
 
 class TestAnnotationsJson:
