@@ -134,12 +134,11 @@ def visibility_levels(scene: LayerStackScene, instance_id: int) -> np.ndarray:
     instance becomes visible at that pixel (0 = already visible).
     """
     _require_instance(scene, instance_id)
-    hits = scene.stacks == instance_id
-    if hits.shape[0] == 0:
-        return np.full((scene.height, scene.width), LEVEL_ABSENT, dtype=np.int32)
-    present = hits.any(axis=0)
-    levels = hits.argmax(axis=0).astype(np.int32)
-    return np.where(present, levels, np.int32(LEVEL_ABSENT))
+    levels = np.full((scene.height, scene.width), LEVEL_ABSENT, dtype=np.int32)
+    # back to front, so the front-most level wins
+    for depth in reversed(range(scene.stacks.shape[0])):
+        levels[scene.stacks[depth] == instance_id] = depth
+    return levels
 
 
 def encode_semdist(
@@ -233,14 +232,52 @@ def _require_same_dims(map_a: SemDistMap, map_b: SemDistMap) -> None:
         )
 
 
+_Window = tuple[slice, slice]
+
+
+def _pair_overlap(
+    map_a: SemDistMap, map_b: SemDistMap, c: float
+) -> Optional[tuple[_Window, np.ndarray]]:
+    """Intersection of the two maps' support boxes and, on that window only,
+    the pixels where both amodal confidences jointly clear c:
+    frac_a * frac_b > c^2. None when the boxes are disjoint.
+
+    Outside its box a map holds only 0 or -0.0, whose fractional part is 0,
+    so no overlap pixel lies outside the window.
+    """
+    _require_same_dims(map_a, map_b)
+    _check_threshold(c)
+    box_a, box_b = map_a._support_box, map_b._support_box
+    if box_a is None or box_b is None:
+        return None
+    y0, x0 = max(box_a[0], box_b[0]), max(box_a[2], box_b[2])
+    y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
+    if y0 >= y1 or x0 >= x1:
+        return None
+    window = (slice(y0, y1), slice(x0, x1))
+    a, b = map_a.values[window], map_b.values[window]
+    joint = (a - np.floor(a)) * (b - np.floor(b))
+    return window, joint > np.float64(c) * np.float64(c)
+
+
+def _votes(
+    map_a: SemDistMap, map_b: SemDistMap, window: _Window, omega: np.ndarray
+) -> np.ndarray:
+    """floor(A) - floor(B) on the window where omega holds, 0 elsewhere."""
+    diff = (np.floor(map_a.values[window]) - np.floor(map_b.values[window])).astype(np.int32)
+    return np.where(omega, diff, np.int32(0))
+
+
 def overlap_region(
     map_a: SemDistMap, map_b: SemDistMap, c: float = DEFAULT_THRESHOLD
 ) -> BinaryMask:
     """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
-    _require_same_dims(map_a, map_b)
-    _check_threshold(c)
-    joint = decode_amodal(map_a) * decode_amodal(map_b)
-    return BinaryMask(joint > np.float64(c) * np.float64(c))
+    bits = np.zeros(map_a.values.shape, dtype=bool)
+    pair = _pair_overlap(map_a, map_b, c)
+    if pair is not None:
+        window, omega = pair
+        bits[window] = omega
+    return BinaryMask(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,9 +322,12 @@ def relative_order(
 ) -> RelativeOrderMap:
     """Per-pixel difference of integer parts, floor(A) - floor(B), inside the
     joint overlap region; 0 outside."""
-    omega = overlap_region(map_a, map_b, c).bits
-    diff = (np.floor(map_a.values) - np.floor(map_b.values)).astype(np.int32)
-    return RelativeOrderMap(np.where(omega, diff, np.int32(0)))
+    votes = np.zeros(map_a.values.shape, dtype=np.int32)
+    pair = _pair_overlap(map_a, map_b, c)
+    if pair is not None:
+        window, omega = pair
+        votes[window] = _votes(map_a, map_b, window, omega)
+    return RelativeOrderMap(votes)
 
 
 class OrderVerdict(Enum):
@@ -329,12 +369,16 @@ def order_regions(
     The per-pixel votes inside the overlap are grouped into 4-connected
     components per sign; the sign of the largest component wins. An exact
     area tie (including the all-zero-votes case) is ambiguous; an empty
-    overlap region means the instances are disjoint.
+    overlap region means the instances are disjoint. The work is done on the
+    intersection of the two maps' support boxes, so a pair whose boxes are
+    disjoint returns DISJOINT without reading its pixels.
     """
-    omega = overlap_region(map_a, map_b, c).bits
-    if not omega.any():
+    pair = _pair_overlap(map_a, map_b, c)
+    if pair is None or not pair[1].any():
         return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
-    votes = relative_order(map_a, map_b, c).values
+    window, omega = pair
+    # components of masks that are empty outside the window are the same on the window
+    votes = _votes(map_a, map_b, window, omega)
     front = _largest_component(votes > 0)
     behind = _largest_component(votes < 0)
     if front == behind:

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .codec import DEFAULT_THRESHOLD, decode_amodal
+from .codec import DEFAULT_THRESHOLD
+from .codec import _pair_overlap
 from .types import (
     BinaryMask,
     InstanceAnnotation,
@@ -323,15 +324,14 @@ def perturb_semdist(
     rng = _rng(config.seed)
     entries = sorted(maps, key=lambda item: item[0])
     values = {mid: np.array(m.values) for mid, m in entries}
-    threshold = float(c) * float(c)
     for (id_a, map_a), (id_b, map_b) in combinations(entries, 2):
-        joint = decode_amodal(map_a) * decode_amodal(map_b)
-        omega = joint > threshold
-        if not omega.any():
+        pair = _pair_overlap(map_a, map_b, c)
+        if pair is None or not pair[1].any():
             continue
         if rng.uniform() >= config.level_flip_prob:
             continue
-        va, vb = values[id_a], values[id_b]
+        window, omega = pair
+        va, vb = values[id_a][window], values[id_b][window]  # views: the swap writes through
         floor_a, floor_b = np.floor(va), np.floor(vb)
         va[omega] = (va - floor_a + floor_b)[omega]
         vb[omega] = (vb - floor_b + floor_a)[omega]

@@ -37,6 +37,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
+from .types import _INT32_MAX
 
 __all__ = [
     "SDM_MAGIC",
@@ -202,7 +203,6 @@ def _get_required(obj: dict, key: str, path: str):
 # scene JSON
 
 
-_INT32_MAX = int(np.iinfo(np.int32).max)  # stacks are int32
 _SPARSE_KEY = "0|[1-9][0-9]*"
 _SPARSE_KEYS = re.compile(f"(?:{_SPARSE_KEY})(?:,(?:{_SPARSE_KEY}))*")
 
@@ -433,10 +433,13 @@ def _dump_json(doc: dict) -> str:
 
 
 def _load_json(path: PathLike):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
 
 

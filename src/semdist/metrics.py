@@ -21,6 +21,7 @@ from .codec import (
     encode_scene,
     object_order,
 )
+from .codec import _pair_overlap
 from .types import (
     BinaryMask,
     DimensionMismatchError,
@@ -291,16 +292,20 @@ def _order_counts(
     by_id = dict(pred_maps)
     ids = sorted(scene_gt.ids())
     gt_maps = encode_scene(scene_gt, ConfidencePolicy(constant=gt_confidence))
-    # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
-    amodal = {i: gt_maps[i].values != 0.0 for i in ids}
 
     correct = 0
     evaluated = 0
     skipped = 0
     for id_a, id_b in combinations(ids, 2):
-        if not (amodal[id_a] & amodal[id_b]).any():
+        gt_a, gt_b = gt_maps[id_a], gt_maps[id_b]
+        pair = _pair_overlap(gt_a, gt_b, c)
+        if pair is None:
             continue
-        gt_verdict = object_order(gt_maps[id_a], gt_maps[id_b], c)
+        window = pair[0]
+        # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
+        if not ((gt_a.values[window] != 0.0) & (gt_b.values[window] != 0.0)).any():
+            continue
+        gt_verdict = object_order(gt_a, gt_b, c)
         if gt_verdict in (OrderVerdict.AMBIGUOUS, OrderVerdict.DISJOINT):
             skipped += 1  # no defined gt order for this pair
             continue

@@ -8,6 +8,7 @@ threads and to use as fixture data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
 
 LEVEL_ABSENT = -1
 """Sentinel used in integer level grids for pixels where an instance is absent."""
+
+_INT32_MAX = int(np.iinfo(np.int32).max)  # stacks are int32
 
 
 class SemDistError(Exception):
@@ -170,6 +173,9 @@ class LayerStackScene:
                     f"mask for instance {record.id} is {mask.width}x{mask.height}, "
                     f"scene is {width}x{height}"
                 )
+            # an id that no pixel uses never enters the stacks, so it may exceed int32
+            if record.id > _INT32_MAX and mask.bits.any():
+                raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
             records.append(record)
         cover = np.zeros((height, width), dtype=np.int32)
         for _, mask in layers:
@@ -179,6 +185,8 @@ class LayerStackScene:
         fill = np.zeros((height, width), dtype=np.intp)
         for record, mask in layers:
             ys, xs = np.nonzero(mask.bits)
+            if ys.size == 0:
+                continue
             stacks[fill[ys, xs], ys, xs] = record.id
             fill[ys, xs] += 1
         return cls(width, height, tuple(records), stacks)
@@ -372,6 +380,18 @@ class SemDistMap:
     @property
     def height(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def _support_box(self) -> Optional[tuple[int, int, int, int]]:
+        """Half-open (y0, y1, x0, x1) around the non-zero values; None when
+        every value is 0. Cached, which holds because values is a read-only
+        private copy."""
+        nonzero = self.values != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        if rows.size == 0:
+            return None
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
     def __eq__(self, other: object):
         if not isinstance(other, SemDistMap):

@@ -234,3 +234,17 @@ class TestPerturbSemdist:
 
         maps = [(1, SemDistMap(values_a)), (2, SemDistMap(values_b))]
         assert perturb_semdist(maps, PerturbConfig(level_flip_prob=1.0)) == maps
+
+    def test_overlap_uses_the_overlap_region_threshold(self):
+        from semdist import SemDistMap, overlap_region
+
+        # fractions 0.5 and float32(0.98) multiply to float32(0.49) exactly, which
+        # clears 0.7 * 0.7 in float64 but not once c * c is rounded to float32
+        map_a = SemDistMap(np.full((1, 1), np.float32(0.5) - np.float32(1)))
+        map_b = SemDistMap(np.full((1, 1), np.float32(0.98)))
+        assert overlap_region(map_a, map_b, 0.7).bits.all()
+        flipped = dict(
+            perturb_semdist([(1, map_a), (2, map_b)], PerturbConfig(level_flip_prob=1.0), 0.7)
+        )
+        assert flipped[1].values.tolist() == [[0.5]]
+        assert flipped[2].values.tolist() == [[float(np.float32(0.98) - np.float32(1))]]

@@ -27,6 +27,7 @@ from semdist import (
     import_cocoa,
     rasterize_polygon,
     read_pgm,
+    read_annotations,
     read_ppm,
     read_scene,
     read_semdist,
@@ -542,6 +543,22 @@ class TestAnnotationsJson:
         doc["annotations"][0]["score"] = 1.5
         with pytest.raises(SchemaError):
             annotations_from_dict(doc)
+
+
+class TestJsonFileErrors:
+    @pytest.mark.parametrize("reader", [read_scene, read_annotations])
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"width": 3, "category": "\xff\xfe"}',
+         b'{"width": ' + b"1" * 5000 + b"}"],
+        ids=["not_utf8", "integer_past_digit_limit"],
+    )
+    def test_unreadable_file_raises_schema_error_at_root(self, tmp_path, reader, payload):
+        path = tmp_path / "doc.json"
+        path.write_bytes(payload)
+        with pytest.raises(SchemaError) as err:
+            reader(path)
+        assert err.value.path == "$"
 
 
 class TestSdmBinary:

@@ -91,6 +91,19 @@ class TestLayerStackScene:
                 2, 2, [(InstanceRecord(1), mask), (InstanceRecord(1), mask)]
             )
 
+    def test_from_layers_id_beyond_int32_rejected(self):
+        mask = BinaryMask(np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match=str(2**40)):
+            LayerStackScene.from_layers(2, 2, [(InstanceRecord(2**40), mask)])
+
+    def test_from_layers_id_beyond_int32_without_pixels_kept(self):
+        mask = BinaryMask(np.ones((2, 2), dtype=bool))
+        scene = LayerStackScene.from_layers(
+            2, 2, [(InstanceRecord(1), mask), (InstanceRecord(2**40), BinaryMask.zeros(2, 2))]
+        )
+        assert scene.ids() == (1, 2**40)
+        assert scene.stacks.tolist() == [[[1, 1], [1, 1]]]
+
     def test_from_layers_checks_mask_dims(self):
         with pytest.raises(DimensionMismatchError):
             LayerStackScene.from_layers(
