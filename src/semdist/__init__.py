@@ -9,218 +9,20 @@ targets for learned models, loss numerics with gradients, a synthetic scene
 generator, detection metrics, and bit-exact file formats.
 """
 
-from .codec import (
-    DEFAULT_CONFIDENCE,
-    DEFAULT_THRESHOLD,
-    EMISSION_FLOOR,
-    ConfidencePolicy,
-    LayerCountError,
-    OrderRegions,
-    OrderVerdict,
-    RelativeOrderMap,
-    decode_amodal,
-    decode_levels,
-    decode_modal,
-    encode_scene,
-    encode_semdist,
-    global_layering_target,
-    instance_layering_target,
-    object_order,
-    order_regions,
-    overlap_region,
-    relative_order,
-    semdist_from_layering,
-    visibility_levels,
-)
-from .compositor import (
-    SHAPES,
-    GenConfig,
-    GenerationError,
-    PerturbConfig,
-    ZeroAreaError,
-    generate,
-    instance_color,
-    occlusion_rate,
-    perturb,
-    perturb_semdist,
-    render,
-    scene_annotations,
-)
-from .io import (
-    SDM_MAGIC,
-    CocoaImage,
-    CocoaImport,
-    CocoaImportError,
-    ImageFormatError,
-    RleError,
-    RleMask,
-    SchemaError,
-    SdmFormatError,
-    annotations_from_dict,
-    annotations_to_dict,
-    import_cocoa,
-    rasterize_polygon,
-    read_annotations,
-    read_pgm,
-    read_ppm,
-    read_scene,
-    read_semdist,
-    rle_decode,
-    rle_encode,
-    scene_from_dict,
-    scene_to_dict,
-    write_annotations,
-    write_pgm,
-    write_ppm,
-    write_scene,
-    write_semdist,
-    semdist_from_bytes,
-    semdist_to_bytes,
-)
-from .losses import PROB_EPS, LossWeights, bce, smooth_l1, total_loss
-from .metrics import (
-    HEAVY_OCCLUSION_CUT,
-    IOU_THRESHOLDS,
-    EmptyGroundTruthError,
-    MatchResult,
-    NoOverlappingPairsError,
-    assign_maps_to_gt,
-    average_precision,
-    average_recall,
-    evaluate,
-    iou,
-    iou_matrix,
-    match,
-    order_accuracy,
-    report_to_dict,
-    stratified_ar,
-)
-from .types import (
-    LEVEL_ABSENT,
-    BinaryMask,
-    DimensionMismatchError,
-    EvalReport,
-    ImageDiagnostics,
-    InstanceAnnotation,
-    InstanceRecord,
-    LayerStackScene,
-    LayeringMap,
-    SceneViolation,
-    SemDistError,
-    SemDistMap,
-    UnknownInstanceError,
-    amodal_mask_of,
-    validate_scene,
-    visible_mask_of,
-)
+from . import codec, compositor, io, losses, metrics, types
+from .types import *
+from .codec import *
+from .compositor import *
+from .metrics import *
+from .losses import *
+from .io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core types
-    "BinaryMask",
-    "InstanceRecord",
-    "LayerStackScene",
-    "SceneViolation",
-    "validate_scene",
-    "amodal_mask_of",
-    "visible_mask_of",
-    "SemDistMap",
-    "LayeringMap",
-    "InstanceAnnotation",
-    "ImageDiagnostics",
-    "EvalReport",
-    "LEVEL_ABSENT",
-    # errors
-    "SemDistError",
-    "UnknownInstanceError",
-    "DimensionMismatchError",
-    "LayerCountError",
-    "GenerationError",
-    "ZeroAreaError",
-    "EmptyGroundTruthError",
-    "NoOverlappingPairsError",
-    "RleError",
-    "SchemaError",
-    "SdmFormatError",
-    "ImageFormatError",
-    "CocoaImportError",
-    # encoding and decoding
-    "DEFAULT_CONFIDENCE",
-    "DEFAULT_THRESHOLD",
-    "EMISSION_FLOOR",
-    "ConfidencePolicy",
-    "visibility_levels",
-    "encode_semdist",
-    "encode_scene",
-    "decode_modal",
-    "decode_amodal",
-    "decode_levels",
-    "overlap_region",
-    "relative_order",
-    "RelativeOrderMap",
-    "OrderVerdict",
-    "OrderRegions",
-    "order_regions",
-    "object_order",
-    "global_layering_target",
-    "instance_layering_target",
-    "semdist_from_layering",
-    # synthesis
-    "SHAPES",
-    "GenConfig",
-    "PerturbConfig",
-    "generate",
-    "render",
-    "instance_color",
-    "occlusion_rate",
-    "scene_annotations",
-    "perturb",
-    "perturb_semdist",
-    # metrics
-    "IOU_THRESHOLDS",
-    "HEAVY_OCCLUSION_CUT",
-    "MatchResult",
-    "iou",
-    "iou_matrix",
-    "match",
-    "average_precision",
-    "average_recall",
-    "stratified_ar",
-    "order_accuracy",
-    "assign_maps_to_gt",
-    "evaluate",
-    "report_to_dict",
-    # losses
-    "PROB_EPS",
-    "LossWeights",
-    "bce",
-    "smooth_l1",
-    "total_loss",
-    # serialization
-    "SDM_MAGIC",
-    "RleMask",
-    "rle_encode",
-    "rle_decode",
-    "scene_to_dict",
-    "scene_from_dict",
-    "write_scene",
-    "read_scene",
-    "annotations_to_dict",
-    "annotations_from_dict",
-    "write_annotations",
-    "read_annotations",
-    "semdist_to_bytes",
-    "semdist_from_bytes",
-    "write_semdist",
-    "read_semdist",
-    "write_pgm",
-    "read_pgm",
-    "write_ppm",
-    "read_ppm",
-    "rasterize_polygon",
-    "CocoaImage",
-    "CocoaImport",
-    "import_cocoa",
-]
+__all__ = ["__version__"]
+__all__ += types.__all__
+__all__ += codec.__all__
+__all__ += compositor.__all__
+__all__ += metrics.__all__
+__all__ += losses.__all__
+__all__ += io.__all__

@@ -25,7 +25,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _require_instance
+from .types import _FrozenGrid
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -133,7 +133,7 @@ def visibility_levels(scene: LayerStackScene, instance_id: int) -> np.ndarray:
     The index equals the number of objects that must be removed before the
     instance becomes visible at that pixel (0 = already visible).
     """
-    _require_instance(scene, instance_id)
+    scene.record_of(instance_id)
     levels = np.full((scene.height, scene.width), LEVEL_ABSENT, dtype=np.int32)
     # back to front, so the front-most level wins
     for depth in reversed(range(scene.stacks.shape[0])):
@@ -224,14 +224,6 @@ def _check_threshold(c: float) -> None:
         raise ValueError(f"confidence threshold must lie strictly inside (0, 1), got {c}")
 
 
-def _require_same_dims(map_a: SemDistMap, map_b: SemDistMap) -> None:
-    if map_a.values.shape != map_b.values.shape:
-        raise DimensionMismatchError(
-            f"map dimensions differ: {map_a.width}x{map_a.height} "
-            f"vs {map_b.width}x{map_b.height}"
-        )
-
-
 _Window = tuple[slice, slice]
 
 
@@ -245,7 +237,7 @@ def _pair_overlap(
     Outside its box a map holds only 0 or -0.0, whose fractional part is 0,
     so no overlap pixel lies outside the window.
     """
-    _require_same_dims(map_a, map_b)
+    map_a.require_same_shape(map_b)
     _check_threshold(c)
     box_a, box_b = map_a._support_box, map_b._support_box
     if box_a is None or box_b is None:
@@ -281,7 +273,7 @@ def overlap_region(
 
 
 @dataclass(frozen=True, eq=False)
-class RelativeOrderMap:
+class RelativeOrderMap(_FrozenGrid):
     """Integer grid of per-pixel depth votes between two instances.
 
     Positive values mean the first instance is closer to the camera at that
@@ -290,31 +282,8 @@ class RelativeOrderMap:
 
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.int32)
-        if values.ndim != 2:
-            raise ValueError(f"order grid must be 2-D, got {values.ndim}-D")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"order grid must be at least 1x1, got shape {values.shape}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other: object):
-        if not isinstance(other, RelativeOrderMap):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None
+    _dtype = np.int32
+    _noun = "order"
 
 
 def relative_order(

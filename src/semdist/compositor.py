@@ -27,7 +27,6 @@ from .types import (
     amodal_mask_of,
     visible_mask_of,
 )
-from .types import _require_instance
 
 __all__ = [
     "SHAPES",
@@ -237,7 +236,6 @@ def render(scene: LayerStackScene) -> np.ndarray:
 
 def occlusion_rate(scene: LayerStackScene, instance_id: int) -> float:
     """Fraction of the amodal mask hidden behind other objects."""
-    _require_instance(scene, instance_id)
     amodal_area = amodal_mask_of(scene, instance_id).area()
     if amodal_area == 0:
         raise ZeroAreaError(f"instance {instance_id} has an empty amodal mask")
@@ -319,20 +317,26 @@ def perturb_semdist(
     This is the map-space counterpart of perturb: it corrupts depth order
     while leaving the confidence (fractional) content untouched. Pairs are
     visited in ascending id order; one uniform draw is consumed per
-    overlapping pair.
+    overlapping pair. A map that no swap touched is returned as it came.
     """
     rng = _rng(config.seed)
     entries = sorted(maps, key=lambda item: item[0])
-    values = {mid: np.array(m.values) for mid, m in entries}
-    for (id_a, map_a), (id_b, map_b) in combinations(entries, 2):
+    swapped: dict[int, np.ndarray] = {}  # entry position -> copy, made on its first swap
+    for (i, (_, map_a)), (j, (_, map_b)) in combinations(enumerate(entries), 2):
         pair = _pair_overlap(map_a, map_b, c)
         if pair is None or not pair[1].any():
             continue
         if rng.uniform() >= config.level_flip_prob:
             continue
         window, omega = pair
-        va, vb = values[id_a][window], values[id_b][window]  # views: the swap writes through
+        for k, semdist in ((i, map_a), (j, map_b)):
+            if k not in swapped:
+                swapped[k] = np.array(semdist.values)
+        va, vb = swapped[i][window], swapped[j][window]  # views: the swap writes through
         floor_a, floor_b = np.floor(va), np.floor(vb)
         va[omega] = (va - floor_a + floor_b)[omega]
         vb[omega] = (vb - floor_b + floor_a)[omega]
-    return [(mid, SemDistMap(values[mid])) for mid, _ in entries]
+    return [
+        (mid, SemDistMap(swapped[k]) if k in swapped else semdist)
+        for k, (mid, semdist) in enumerate(entries)
+    ]

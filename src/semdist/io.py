@@ -78,12 +78,16 @@ class RleError(SemDistError):
     """A run-length encoding is malformed or inconsistent with its size."""
 
 
-class SchemaError(SemDistError):
-    """A JSON document violates its schema; path names the offending node."""
+class _PathError(SemDistError):
+    """An error at one node of a JSON document, named by its path."""
 
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+class SchemaError(_PathError):
+    """A JSON document violates its schema; path names the offending node."""
 
 
 class SdmFormatError(SemDistError):
@@ -94,12 +98,8 @@ class ImageFormatError(SemDistError):
     """A PGM/PPM payload is malformed."""
 
 
-class CocoaImportError(SemDistError):
+class CocoaImportError(_PathError):
     """A COCOA-style document cannot be imported; path names the offender."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +282,27 @@ def _stacks_text(pixels: np.ndarray, lengths: np.ndarray, ids: np.ndarray, dense
     return "".join(slots.tolist()) + ("\n  ]" if dense else "\n  }")
 
 
+def _parse_id_and_category(obj: dict, path: str, seen: set[int]) -> tuple[int, Optional[str]]:
+    """The required positive "id", new to seen, and the optional string
+    "category" of one instance object."""
+    instance_id = _require_int(_get_required(obj, "id", path), f"{path}.id", 1)
+    if instance_id in seen:
+        raise SchemaError(f"{path}.id", f"duplicate instance id {instance_id}")
+    seen.add(instance_id)
+    category = obj.get("category")
+    if category is not None and not isinstance(category, str):
+        raise SchemaError(f"{path}.category", f"expected a string or null, got {category!r}")
+    return instance_id, category
+
+
 def _parse_instances(raw, path: str) -> tuple[InstanceRecord, ...]:
     records = []
-    seen = set()
+    seen: set[int] = set()
     for idx, item in enumerate(_require_list(raw, path)):
         item_path = f"{path}[{idx}]"
         obj = _require_object(item, item_path)
         _reject_unknown(obj, ("id", "category"), item_path)
-        instance_id = _require_int(_get_required(obj, "id", item_path), f"{item_path}.id", 1)
-        if instance_id in seen:
-            raise SchemaError(f"{item_path}.id", f"duplicate instance id {instance_id}")
-        seen.add(instance_id)
-        category = obj.get("category")
-        if category is not None and not isinstance(category, str):
-            raise SchemaError(f"{item_path}.category", f"expected a string or null, got {category!r}")
-        records.append(InstanceRecord(instance_id, category))
+        records.append(InstanceRecord(*_parse_id_and_category(obj, item_path, seen)))
     return tuple(records)
 
 
@@ -441,6 +447,8 @@ def _load_json(path: PathLike):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("$", "arrays or objects nested too deeply to parse") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +490,14 @@ def annotations_from_dict(doc) -> tuple[int, int, list[InstanceAnnotation]]:
     width = _require_int(_get_required(root, "width", "$"), "$.width", 1)
     height = _require_int(_get_required(root, "height", "$"), "$.height", 1)
     annotations = []
-    seen = set()
+    seen: set[int] = set()
     for idx, item in enumerate(_require_list(_get_required(root, "annotations", "$"), "$.annotations")):
         path = f"$.annotations[{idx}]"
         obj = _require_object(item, path)
         _reject_unknown(
             obj, ("id", "category", "score", "occlusion_rate", "amodal", "visible"), path
         )
-        instance_id = _require_int(_get_required(obj, "id", path), f"{path}.id", 1)
-        if instance_id in seen:
-            raise SchemaError(f"{path}.id", f"duplicate instance id {instance_id}")
-        seen.add(instance_id)
-        category = obj.get("category")
-        if category is not None and not isinstance(category, str):
-            raise SchemaError(f"{path}.category", f"expected a string or null, got {category!r}")
+        instance_id, category = _parse_id_and_category(obj, path, seen)
         score = _require_real(_get_required(obj, "score", path), f"{path}.score", 0.0, 1.0)
         rate = _require_real(
             _get_required(obj, "occlusion_rate", path), f"{path}.occlusion_rate", 0.0, 1.0
@@ -660,11 +662,16 @@ class CocoaImage:
 
 @dataclass(frozen=True)
 class CocoaImport:
-    """Import outcome: per-image annotation lists plus a tally of the
-    regions and fields that were skipped or ignored."""
+    """Import outcome: per-image annotation lists plus one (json_path, reason)
+    warning per region, field or token that was skipped or ignored, in
+    document order."""
 
     images: tuple[CocoaImage, ...]
-    warning_count: int
+    warnings: tuple[tuple[str, str], ...]
+
+    @property
+    def warning_count(self) -> int:
+        return len(self.warnings)
 
 
 _KNOWN_IMAGE_KEYS = (
@@ -678,15 +685,16 @@ _KNOWN_REGION_KEYS = (
 )
 
 
-class _WarningTally:
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int = 1):
-        self.count += n
+_Warnings = list[tuple[str, str]]
 
 
-def _decode_region_mask(raw, path: str, width: int, height: int, tally) -> Optional[BinaryMask]:
+def _warn_unknown_keys(obj: dict, known: Sequence[str], path: str, warnings: _Warnings) -> None:
+    warnings.extend((f"{path}.{key}", "unknown field") for key in obj if key not in known)
+
+
+def _decode_region_mask(
+    raw, path: str, width: int, height: int, warnings: _Warnings
+) -> Optional[BinaryMask]:
     """Polygon list or uncompressed RLE dict -> mask; None (plus a warning)
     when the geometry is unsupported."""
     if isinstance(raw, list):
@@ -702,7 +710,7 @@ def _decode_region_mask(raw, path: str, width: int, height: int, tally) -> Optio
                 or len(ring) % 2 != 0
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in ring)
             ):
-                tally.add()
+                warnings.append((path, "polygon ring is not an even list of 6 or more numbers"))
                 return None
             combined ^= rasterize_polygon(ring, width, height).bits
         return BinaryMask(combined)
@@ -716,17 +724,17 @@ def _decode_region_mask(raw, path: str, width: int, height: int, tally) -> Optio
             or not isinstance(counts, list)
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in counts)
         ):
-            tally.add()  # compressed or inconsistent RLE is not supported
+            warnings.append((path, "compressed RLE, or size other than [height, width]"))
             return None
         try:
             return rle_decode(RleMask(width, height, tuple(counts)))
-        except RleError:
-            tally.add()
+        except RleError as exc:
+            warnings.append((path, str(exc)))
             return None
     raise CocoaImportError(path, f"expected a polygon array or RLE object, got {type(raw).__name__}")
 
 
-def _parse_depth_constraint(raw, path: str, tally) -> tuple[tuple[int, int], ...]:
+def _parse_depth_constraint(raw, path: str, warnings: _Warnings) -> tuple[tuple[int, int], ...]:
     if raw is None:
         return ()
     if not isinstance(raw, str):
@@ -738,7 +746,7 @@ def _parse_depth_constraint(raw, path: str, tally) -> tuple[tuple[int, int], ...
             continue
         matched = re.fullmatch(r"(\d+)-(\d+)", token)
         if matched is None:
-            tally.add()
+            warnings.append((path, f"depth pair {token!r} is not FRONT-BEHIND"))
             continue
         pairs.append((int(matched.group(1)), int(matched.group(2))))
     return tuple(pairs)
@@ -751,9 +759,10 @@ def import_cocoa(document) -> CocoaImport:
     position in the regions list; occlusion_rate is recomputed from the
     decoded masks rather than trusted. Depth-order pairs from
     depth_constraint strings are preserved verbatim as (front, behind) region
-    ids. Unsupported geometry and unknown fields are skipped and counted.
+    ids. Unsupported geometry and unknown fields are skipped, each with a
+    warning that names its JSON path and the reason.
     """
-    tally = _WarningTally()
+    warnings: _Warnings = []
     root = document
     if not isinstance(root, dict):
         raise CocoaImportError("$", f"expected an object, got {type(root).__name__}")
@@ -767,9 +776,7 @@ def import_cocoa(document) -> CocoaImport:
         path = f"$.images[{idx}]"
         if not isinstance(item, dict):
             raise CocoaImportError(path, "expected an object")
-        for key in item:
-            if key not in _KNOWN_IMAGE_KEYS:
-                tally.add()
+        _warn_unknown_keys(item, _KNOWN_IMAGE_KEYS, path, warnings)
         for key in ("id", "width", "height"):
             if not isinstance(item.get(key), int) or isinstance(item.get(key), bool):
                 raise CocoaImportError(f"{path}.{key}", "missing or not an integer")
@@ -787,18 +794,16 @@ def import_cocoa(document) -> CocoaImport:
     annotations_raw = root.get("annotations", [])
     if not isinstance(annotations_raw, list):
         raise CocoaImportError("$.annotations", "expected an array")
-    for key in root:
-        if key not in ("images", "annotations", "info", "licenses", "categories"):
-            tally.add()
+    _warn_unknown_keys(
+        root, ("images", "annotations", "info", "licenses", "categories"), "$", warnings
+    )
 
     per_image: dict[int, tuple[tuple[InstanceAnnotation, ...], tuple[tuple[int, int], ...]]] = {}
     for idx, entry in enumerate(annotations_raw):
         path = f"$.annotations[{idx}]"
         if not isinstance(entry, dict):
             raise CocoaImportError(path, "expected an object")
-        for key in entry:
-            if key not in _KNOWN_ANNOTATION_KEYS:
-                tally.add()
+        _warn_unknown_keys(entry, _KNOWN_ANNOTATION_KEYS, path, warnings)
         image_id = entry.get("image_id")
         if not isinstance(image_id, int) or isinstance(image_id, bool):
             raise CocoaImportError(f"{path}.image_id", "missing or not an integer")
@@ -816,27 +821,25 @@ def import_cocoa(document) -> CocoaImport:
             r_path = f"{path}.regions[{r_idx}]"
             if not isinstance(region, dict):
                 raise CocoaImportError(r_path, "expected an object")
-            for key in region:
-                if key not in _KNOWN_REGION_KEYS:
-                    tally.add()
+            _warn_unknown_keys(region, _KNOWN_REGION_KEYS, r_path, warnings)
             if "segmentation" not in region:
-                tally.add()
+                warnings.append((r_path, "region has no segmentation"))
                 continue
             amodal = _decode_region_mask(
-                region["segmentation"], f"{r_path}.segmentation", width, height, tally
+                region["segmentation"], f"{r_path}.segmentation", width, height, warnings
             )
             if amodal is None or amodal.area() == 0:
                 if amodal is not None:
-                    tally.add()  # empty amodal region carries no instance
+                    warnings.append((f"{r_path}.segmentation", "empty amodal mask"))
                 continue
             visible: Optional[BinaryMask] = None
             if "visible_mask" in region and region["visible_mask"] is not None:
                 visible = _decode_region_mask(
-                    region["visible_mask"], f"{r_path}.visible_mask", width, height, tally
+                    region["visible_mask"], f"{r_path}.visible_mask", width, height, warnings
                 )
             if visible is None and "invisible_mask" in region and region["invisible_mask"] is not None:
                 invisible = _decode_region_mask(
-                    region["invisible_mask"], f"{r_path}.invisible_mask", width, height, tally
+                    region["invisible_mask"], f"{r_path}.invisible_mask", width, height, warnings
                 )
                 if invisible is not None:
                     visible = BinaryMask(amodal.bits & ~invisible.bits)
@@ -856,7 +859,7 @@ def import_cocoa(document) -> CocoaImport:
                 )
             )
         pairs = _parse_depth_constraint(
-            entry.get("depth_constraint"), f"{path}.depth_constraint", tally
+            entry.get("depth_constraint"), f"{path}.depth_constraint", warnings
         )
         per_image[image_id] = (tuple(annotations), pairs)
 
@@ -874,4 +877,4 @@ def import_cocoa(document) -> CocoaImport:
                 order_pairs=pairs,
             )
         )
-    return CocoaImport(images=tuple(images), warning_count=tally.count)
+    return CocoaImport(images=tuple(images), warnings=tuple(warnings))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -50,32 +50,75 @@ class DimensionMismatchError(SemDistError):
     """Two grids that must share dimensions do not."""
 
 
+class _FrozenGrid:
+    """Read-only numpy grid held in one dataclass field.
+
+    A subclass names its payload field and declares the dtype, rank and a
+    noun for messages; _check adds its own value checks. The payload is
+    copied to the dtype, must have the rank and no 0-length axis, and is
+    marked read-only. Grids compare equal only to grids of the same type
+    with the same shape and values.
+    """
+
+    _field: ClassVar[str] = "values"
+    _dtype: ClassVar[type]
+    _rank: ClassVar[int] = 2
+    _noun: ClassVar[str]
+    _grid: np.ndarray  # the payload, under one name for the shared methods
+
+    def __post_init__(self) -> None:
+        grid = np.array(getattr(self, self._field), dtype=self._dtype)
+        if grid.ndim != self._rank:
+            raise ValueError(f"{self._noun} grid must be {self._rank}-D, got {grid.ndim}-D")
+        if 0 in grid.shape:
+            raise ValueError(f"{self._noun} grid has a 0-length axis: shape {grid.shape}")
+        self._check(grid)
+        grid.setflags(write=False)
+        object.__setattr__(self, self._field, grid)
+        object.__setattr__(self, "_grid", grid)
+
+    @staticmethod
+    def _check(grid: np.ndarray) -> None:
+        """Raise ValueError on values the type does not allow."""
+
+    @property
+    def width(self) -> int:
+        return self._grid.shape[-1]
+
+    @property
+    def height(self) -> int:
+        return self._grid.shape[-2]
+
+    def require_same_shape(self, other: "_FrozenGrid") -> None:
+        if self._grid.shape != other._grid.shape:
+            raise DimensionMismatchError(
+                f"{self._noun} dimensions differ: {self.width}x{self.height} "
+                f"vs {other.width}x{other.height}"
+            )
+
+    def __eq__(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._grid.shape == other._grid.shape and bool(
+            np.array_equal(self._grid, other._grid)
+        )
+
+    __hash__ = None
+
+
 @dataclass(frozen=True, eq=False)
-class BinaryMask:
+class BinaryMask(_FrozenGrid):
     """Row-major boolean grid. Origin is top-left; x grows rightward, y downward."""
 
     bits: np.ndarray
 
-    def __post_init__(self) -> None:
-        bits = np.array(self.bits, dtype=bool)
-        if bits.ndim != 2:
-            raise ValueError(f"mask grid must be 2-D, got {bits.ndim}-D")
-        if bits.shape[0] < 1 or bits.shape[1] < 1:
-            raise ValueError(f"mask must be at least 1x1, got shape {bits.shape}")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+    _field = "bits"
+    _dtype = bool
+    _noun = "mask"
 
     @classmethod
     def zeros(cls, width: int, height: int) -> "BinaryMask":
         return cls(np.zeros((height, width), dtype=bool))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
     def area(self) -> int:
         return int(self.bits.sum())
@@ -83,22 +126,6 @@ class BinaryMask:
     def is_subset_of(self, other: "BinaryMask") -> bool:
         self.require_same_shape(other)
         return not bool((self.bits & ~other.bits).any())
-
-    def require_same_shape(self, other: "BinaryMask") -> None:
-        if self.bits.shape != other.bits.shape:
-            raise DimensionMismatchError(
-                f"mask dimensions differ: {self.width}x{self.height} "
-                f"vs {other.width}x{other.height}"
-            )
-
-    def __eq__(self, other: object):
-        if not isinstance(other, BinaryMask):
-            return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            np.array_equal(self.bits, other.bits)
-        )
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -329,27 +356,22 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
     return violations
 
 
-def _require_instance(scene: LayerStackScene, instance_id: int) -> None:
-    if not scene.has_instance(instance_id):
-        raise UnknownInstanceError(f"instance {instance_id} is not part of the scene")
-
-
 def amodal_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
     """Pixels whose stack contains the instance at any depth."""
-    _require_instance(scene, instance_id)
+    scene.record_of(instance_id)
     return BinaryMask((scene.stacks == instance_id).any(axis=0))
 
 
 def visible_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
     """Pixels where the instance is the front-most stack entry."""
-    _require_instance(scene, instance_id)
+    scene.record_of(instance_id)
     if scene.stacks.shape[0] == 0:
         return BinaryMask.zeros(scene.width, scene.height)
     return BinaryMask(scene.stacks[0] == instance_id)
 
 
 @dataclass(frozen=True, eq=False)
-class SemDistMap:
+class SemDistMap(_FrozenGrid):
     """Single-channel float32 grid encoding one instance.
 
     The fractional part of a value is an occurrence confidence in (0, 1); the
@@ -360,26 +382,15 @@ class SemDistMap:
 
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float32)
-        if values.ndim != 2:
-            raise ValueError(f"map grid must be 2-D, got {values.ndim}-D")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"map must be at least 1x1, got shape {values.shape}")
+    _dtype = np.float32
+    _noun = "map"
+
+    @staticmethod
+    def _check(values: np.ndarray) -> None:
         if not np.isfinite(values).all():
             raise ValueError("map values must be finite")
         if not (values < 1.0).all():
             raise ValueError("map values must be strictly below 1")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
     @cached_property
     def _support_box(self) -> Optional[tuple[int, int, int, int]]:
@@ -393,18 +404,9 @@ class SemDistMap:
         cols = np.flatnonzero(nonzero.any(axis=0))
         return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
-    def __eq__(self, other: object):
-        if not isinstance(other, SemDistMap):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class LayeringMap:
+class LayeringMap(_FrozenGrid):
     """Stack of per-level occupancy grids with values in [0, 1].
 
     Channel k describes visibility level k. Ground-truth targets are exactly
@@ -413,32 +415,20 @@ class LayeringMap:
 
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float32)
-        if values.ndim != 3:
-            raise ValueError(f"layering grid must be 3-D, got {values.ndim}-D")
-        if values.shape[0] < 1:
-            raise ValueError("layering map needs at least one channel")
-        if values.shape[1] < 1 or values.shape[2] < 1:
-            raise ValueError(f"layering map must be at least 1x1, got shape {values.shape}")
+    _dtype = np.float32
+    _rank = 3
+    _noun = "layering"
+
+    @staticmethod
+    def _check(values: np.ndarray) -> None:
         if not np.isfinite(values).all():
             raise ValueError("layering values must be finite")
         if ((values < 0.0) | (values > 1.0)).any():
             raise ValueError("layering values must lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     @property
     def layer_count(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
 
     def channel(self, k: int) -> np.ndarray:
         if not (0 <= k < self.layer_count):
@@ -447,15 +437,6 @@ class LayeringMap:
 
     def is_binary(self) -> bool:
         return bool(((self.values == 0.0) | (self.values == 1.0)).all())
-
-    def __eq__(self, other: object):
-        if not isinstance(other, LayeringMap):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None
 
 
 _RATE_TOLERANCE = 1e-9  # stored occlusion_rate must agree with the mask areas

@@ -198,6 +198,13 @@ def test_malformed_scene_exits_one(tmp_path, capsys):
     assert "$.height" in capsys.readouterr().err
 
 
+def test_deeply_nested_scene_exits_one(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["encode", "--scene", str(bad), "--out", str(tmp_path / "maps")]) == 1
+    assert capsys.readouterr().err.startswith("error: $: ")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["generate", "--objects", "5..2", "--out", "x"]) == 2

@@ -225,6 +225,20 @@ class TestPerturbSemdist:
         maps = self._maps(s0)
         assert perturb_semdist(maps, PerturbConfig(level_flip_prob=0.0)) == maps
 
+    def test_untouched_maps_are_returned_as_given(self, s0):
+        maps = self._maps(s0)
+        returned = perturb_semdist(maps, PerturbConfig(level_flip_prob=0.0))
+        assert all(out is given for (_, out), (_, given) in zip(returned, maps))
+
+    def test_duplicate_ids_stay_separate_maps(self):
+        from semdist import SemDistMap
+
+        front = SemDistMap(np.full((2, 2), np.float32(0.9)))
+        behind = SemDistMap(np.full((2, 2), np.float32(0.9) - np.float32(1)))
+        maps = [(1, front), (1, behind)]
+        assert perturb_semdist(maps, PerturbConfig(level_flip_prob=0.0)) == maps
+        assert perturb_semdist(maps, PerturbConfig(level_flip_prob=1.0)) == [(1, behind), (1, front)]
+
     def test_disjoint_pairs_never_flip(self):
         values_a = np.zeros((2, 4), dtype=np.float32)
         values_a[:, :2] = np.float32(0.95)

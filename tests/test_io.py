@@ -550,8 +550,9 @@ class TestJsonFileErrors:
     @pytest.mark.parametrize(
         "payload",
         [b'{"width": 3, "category": "\xff\xfe"}',
-         b'{"width": ' + b"1" * 5000 + b"}"],
-        ids=["not_utf8", "integer_past_digit_limit"],
+         b'{"width": ' + b"1" * 5000 + b"}",
+         b"[" * 100000 + b"]" * 100000],
+        ids=["not_utf8", "integer_past_digit_limit", "nested_too_deeply"],
     )
     def test_unreadable_file_raises_schema_error_at_root(self, tmp_path, reader, payload):
         path = tmp_path / "doc.json"
@@ -728,6 +729,7 @@ class TestCocoaImport:
     def test_basic_import(self):
         result = import_cocoa(self._document())
         assert result.warning_count == 0
+        assert result.warnings == ()
         assert len(result.images) == 2
         image = result.images[0]
         assert image.image_id == 10 and image.file_name == "a.png"
@@ -768,6 +770,9 @@ class TestCocoaImport:
         )
         result = import_cocoa(doc)
         assert result.warning_count == 1
+        assert [path for path, _ in result.warnings] == [
+            "$.annotations[0].regions[0].segmentation"
+        ]
         # surviving regions keep their original 1-based positions
         assert [ann.id for ann in result.images[0].annotations] == [2, 3]
 
@@ -778,12 +783,18 @@ class TestCocoaImport:
         doc["images"][0]["exif"] = {}
         result = import_cocoa(doc)
         assert result.warning_count == 2
+        assert result.warnings == (
+            ("$.images[0].exif", "unknown field"),
+            ("$.annotations[0].regions[0].wings", "unknown field"),
+        )
 
     def test_malformed_depth_token_warned_and_skipped(self):
         doc = self._document()
         doc["annotations"][0]["depth_constraint"] = "1-2,zap,3-1"
         result = import_cocoa(doc)
         assert result.warning_count == 1
+        (path, reason), = result.warnings
+        assert path == "$.annotations[0].depth_constraint" and "'zap'" in reason
         assert result.images[0].order_pairs == ((1, 2), (3, 1))
 
     def test_unknown_image_id_fails(self):
@@ -808,6 +819,9 @@ class TestCocoaImport:
         doc["annotations"][0]["regions"][0]["segmentation"] = [0, 0, 6]
         result = import_cocoa(doc)
         assert result.warning_count == 1
+        assert [path for path, _ in result.warnings] == [
+            "$.annotations[0].regions[0].segmentation"
+        ]
         assert [ann.id for ann in result.images[0].annotations] == [2]
 
     def test_multi_ring_polygon_even_odd(self):

@@ -9,10 +9,12 @@ from semdist import (
     InstanceRecord,
     LayeringMap,
     LayerStackScene,
+    RelativeOrderMap,
     SemDistError,
     SemDistMap,
     UnknownInstanceError,
     amodal_mask_of,
+    overlap_region,
     validate_scene,
     visible_mask_of,
 )
@@ -295,3 +297,64 @@ class TestEvalReport:
 def test_every_error_is_a_semdist_error():
     assert issubclass(UnknownInstanceError, SemDistError)
     assert issubclass(DimensionMismatchError, SemDistError)
+
+
+# One frozen-grid base serves all four grid types; each must keep the same contract.
+_GRID_TYPES = [
+    (BinaryMask, "bits", np.ones((2, 3), dtype=bool)),
+    (SemDistMap, "values", np.full((2, 3), 0.5, dtype=np.float32)),
+    (LayeringMap, "values", np.full((1, 2, 3), 0.5, dtype=np.float32)),
+    (RelativeOrderMap, "values", np.ones((2, 3), dtype=np.int32)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, payload", _GRID_TYPES, ids=[cls.__name__ for cls, _, _ in _GRID_TYPES]
+)
+class TestFrozenGrid:
+    def test_copies_input_and_is_read_only(self, cls, field, payload):
+        raw = payload.copy()
+        grid = cls(raw)
+        raw[...] = 0
+        assert np.array_equal(getattr(grid, field), payload)
+        assert (grid.width, grid.height) == (3, 2)
+        with pytest.raises(ValueError):
+            getattr(grid, field)[..., 0, 0] = 0
+
+    def test_rejects_wrong_rank_and_empty_axes(self, cls, field, payload):
+        with pytest.raises(ValueError):
+            cls(payload[..., 0])
+        with pytest.raises(ValueError):
+            cls(payload[None])
+        for axis in range(payload.ndim):
+            with pytest.raises(ValueError):
+                cls(np.take(payload, [], axis=axis))
+
+    def test_equal_by_content_and_unhashable(self, cls, field, payload):
+        assert cls(payload) == cls(payload.copy())
+        assert cls(payload) != cls(np.zeros_like(payload))
+        assert cls(payload) != cls(np.concatenate([payload, payload], axis=-1))
+        with pytest.raises(TypeError):
+            hash(cls(payload))
+
+
+def test_grids_of_different_types_never_compare_equal():
+    zeros = np.zeros((2, 2))
+    grids = [
+        BinaryMask(zeros),
+        SemDistMap(zeros),
+        RelativeOrderMap(zeros),
+        LayeringMap(zeros[None]),
+    ]
+    assert SemDistMap(zeros) != RelativeOrderMap(zeros)
+    for i, a in enumerate(grids):
+        for j, b in enumerate(grids):
+            assert (a == b) is (i == j)
+            assert (a != b) is (i != j)
+
+
+def test_dimension_mismatch_names_the_grid_kind():
+    with pytest.raises(DimensionMismatchError, match="^mask dimensions differ: 2x2 vs 3x2$"):
+        BinaryMask.zeros(2, 2).require_same_shape(BinaryMask.zeros(3, 2))
+    with pytest.raises(DimensionMismatchError, match="^map dimensions differ: 2x2 vs 3x2$"):
+        overlap_region(SemDistMap(np.zeros((2, 2))), SemDistMap(np.zeros((2, 3))))
