@@ -29,7 +29,7 @@ from .codec import (
     decode_amodal,
     decode_levels,
     decode_modal,
-    encode_semdist,
+    encode_scene,
     order_regions,
 )
 from .compositor import GenConfig, PerturbConfig, generate, perturb, render, scene_annotations
@@ -121,21 +121,17 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     scene = scene_from_dict(_load_json(scene_path))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for record in scene.instances:
-        semdist = encode_semdist(scene, record.id, args.confidence)
-        write_semdist(semdist, out / f"{scene_path.stem}_{record.id:04d}.sdm")
+    for instance_id, semdist in encode_scene(scene, args.confidence).items():
+        write_semdist(semdist, out / f"{scene_path.stem}_{instance_id:04d}.sdm")
     print(f"wrote {len(scene.instances)} maps to {out}")
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     semdist = read_semdist(args.map)
-    if args.mode == "modal":
-        values = decode_modal(semdist)
-        image = np.where(values >= args.threshold, 255, 0).astype(np.uint8)
-    elif args.mode == "amodal":
-        values = decode_amodal(semdist)
-        image = np.where(values >= args.threshold, 255, 0).astype(np.uint8)
+    if args.mode in ("modal", "amodal"):
+        decode = decode_modal if args.mode == "modal" else decode_amodal
+        image = np.where(decode(semdist) >= args.threshold, 255, 0).astype(np.uint8)
     else:  # levels: 0 marks absence, level k maps to k + 1
         levels = decode_levels(semdist, args.threshold)
         image = np.where(levels == LEVEL_ABSENT, 0, np.minimum(levels + 1, 255)).astype(
@@ -215,10 +211,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         gt_images.append(gt_anns)
         pred_images.append(pred_anns)
         if gt_scene is not None and pred_scene is not None:
-            pred_maps = {
-                record.id: encode_semdist(pred_scene, record.id, args.confidence)
-                for record in pred_scene.instances
-            }
+            pred_maps = encode_scene(pred_scene, args.confidence)
             order_items.append(
                 (gt_scene, assign_maps_to_gt(gt_anns, pred_anns, pred_maps))
             )

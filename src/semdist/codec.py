@@ -156,27 +156,11 @@ def encode_semdist(
 def encode_scene(
     scene: LayerStackScene, policy: PolicyLike = DEFAULT_CONFIDENCE
 ) -> dict[int, SemDistMap]:
-    """Encode every instance in one pass over the depth planes.
-
-    Keys follow scene.ids(); each map equals encode_semdist(scene, id, policy).
-    """
+    """Encode each instance; keys follow scene.ids(), and each map equals
+    encode_semdist(scene, id, policy)."""
     confidence = _as_policy(policy).grid(scene.height, scene.width)
-    if not scene.instances:
-        return {}
-    ids = np.unique(np.array(scene.ids(), dtype=np.int64))
-    depth_count = scene.stacks.shape[0]
-    # the narrowest signed type that holds every level: n maps in one grid stay small
-    dtype = np.min_scalar_type(-max(depth_count, 1))
-    levels = np.full((ids.size, scene.height, scene.width), LEVEL_ABSENT, dtype=dtype)
-    # back to front, so each instance ends up with its front-most level
-    for depth in reversed(range(depth_count)):
-        ys, xs = np.nonzero(scene.stacks[depth])
-        found = scene.stacks[depth][ys, xs]
-        rows = np.minimum(np.searchsorted(ids, found), ids.size - 1)
-        known = ids[rows] == found  # stacks may hold ids the scene does not list
-        levels[rows[known], ys[known], xs[known]] = depth
     return {
-        instance_id: _semdist_from_levels(levels[np.searchsorted(ids, instance_id)], confidence)
+        instance_id: _semdist_from_levels(visibility_levels(scene, instance_id), confidence)
         for instance_id in scene.ids()
     }
 
@@ -417,9 +401,6 @@ def semdist_from_layering(
     winner = np.argmax(stacked, axis=0)
     winning = np.take_along_axis(stacked, winner[None, :, :], axis=0)[0]
     confidence = np.minimum(winning, policy.grid(layering.height, layering.width))
-    values = np.where(
-        winning >= EMISSION_FLOOR,
-        confidence - winner.astype(np.float32),
-        np.float32(0.0),
+    return _semdist_from_levels(
+        np.where(winning >= EMISSION_FLOOR, winner, LEVEL_ABSENT), confidence
     )
-    return SemDistMap(values)

@@ -122,11 +122,13 @@ class RleMask:
         if self.width < 1 or self.height < 1:
             raise RleError(f"mask must be at least 1x1, got {self.width}x{self.height}")
         counts = tuple(self.counts)
-        for value in counts:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise RleError(f"run counts must be integers, got {value!r}")
-            if value < 0:
-                raise RleError(f"run counts must be non-negative, got {value}")
+        # exact ints only: bool is an int subclass; other subclasses take the walk
+        if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0):
+            for value in counts:  # walk only to name the first bad count
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise RleError(f"run counts must be integers, got {value!r}")
+                if value < 0:
+                    raise RleError(f"run counts must be non-negative, got {value}")
         object.__setattr__(self, "counts", counts)
 
 
@@ -474,13 +476,12 @@ def annotations_to_dict(
 
 
 def _parse_rle_field(raw, path: str, width: int, height: int) -> BinaryMask:
-    entries = _require_list(raw, path)
-    counts = []
-    for pos, value in enumerate(entries):
-        counts.append(_require_int(value, f"{path}[{pos}]", 0))
+    counts = _require_list(raw, path)
     try:
         return rle_decode(RleMask(width, height, tuple(counts)))
     except RleError as exc:
+        for pos, value in enumerate(counts):  # name the first bad count, if any
+            _require_int(value, f"{path}[{pos}]", 0)
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -580,22 +581,26 @@ def read_semdist(path: PathLike) -> SemDistMap:
 # netpbm images
 
 
+def _write_netpbm(image: np.ndarray, path: PathLike, magic: bytes, planes: int) -> None:
+    arr = np.asarray(image)
+    channels = () if planes == 1 else (planes,)
+    if arr.ndim != 2 + len(channels) or arr.shape[2:] != channels or arr.dtype != np.uint8:
+        expected = "(h, w)" if planes == 1 else f"(h, w, {planes})"
+        raise ValueError(
+            f"{magic.decode()} payload must be a {expected} uint8 array, got {arr.dtype} {arr.shape}"
+        )
+    header = magic + f"\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + arr.tobytes(order="C"))
+
+
 def write_pgm(gray: np.ndarray, path: PathLike) -> None:
     """Write a P5 grayscale image from a uint8 (height, width) array."""
-    arr = np.asarray(gray)
-    if arr.ndim != 2 or arr.dtype != np.uint8:
-        raise ValueError(f"PGM payload must be a 2-D uint8 array, got {arr.dtype} {arr.shape}")
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes(order="C"))
+    _write_netpbm(gray, path, b"P5", 1)
 
 
 def write_ppm(rgb: np.ndarray, path: PathLike) -> None:
     """Write a P6 color image from a uint8 (height, width, 3) array."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise ValueError(f"PPM payload must be (h, w, 3) uint8, got {arr.dtype} {arr.shape}")
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes(order="C"))
+    _write_netpbm(rgb, path, b"P6", 3)
 
 
 def _read_netpbm(path: PathLike, magic: bytes, planes: int) -> np.ndarray:
@@ -717,13 +722,7 @@ def _decode_region_mask(
     if isinstance(raw, dict):
         size = raw.get("size")
         counts = raw.get("counts")
-        if (
-            not isinstance(size, list)
-            or len(size) != 2
-            or size != [height, width]
-            or not isinstance(counts, list)
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in counts)
-        ):
+        if not isinstance(size, list) or size != [height, width] or not isinstance(counts, list):
             warnings.append((path, "compressed RLE, or size other than [height, width]"))
             return None
         try:

@@ -319,6 +319,14 @@ def _order_counts(
     return correct, evaluated, skipped
 
 
+def _check_order_threshold(c: float, gt_confidence: float) -> None:
+    if not (0.0 < c < gt_confidence):
+        raise ValueError(
+            f"threshold c must satisfy 0 < c < gt confidence, got c={c}, "
+            f"confidence={gt_confidence}"
+        )
+
+
 def order_accuracy(
     scene_gt: LayerStackScene,
     pred_maps: Sequence[tuple[int, SemDistMap]],
@@ -333,11 +341,7 @@ def order_accuracy(
     Ambiguous or disjoint predictions on an ordered gt pair count as
     incorrect; gt pairs whose own order is ambiguous are excluded.
     """
-    if not (0.0 < c < gt_confidence):
-        raise ValueError(
-            f"threshold c must satisfy 0 < c < gt confidence, got c={c}, "
-            f"confidence={gt_confidence}"
-        )
+    _check_order_threshold(c, gt_confidence)
     correct, evaluated, _ = _order_counts(scene_gt, pred_maps, c, gt_confidence)
     if evaluated == 0:
         raise NoOverlappingPairsError(
@@ -393,13 +397,16 @@ def evaluate(
 
     order_items optionally supplies (gt scene, assigned predicted maps) pairs
     for depth-order accuracy, pooled over all scenes; without them (or with
-    no evaluable pair) order_accuracy is None.
+    no evaluable pair) order_accuracy is None. With them, c must satisfy
+    0 < c < gt_confidence, as in order_accuracy.
     """
     _check_image_counts(gt_images, pred_images)
     if image_names is None:
         image_names = [f"{idx:04d}" for idx in range(len(gt_images))]
     elif len(image_names) != len(gt_images):
         raise ValueError("image_names length must match the image count")
+    if order_items is not None:
+        _check_order_threshold(c, gt_confidence)
 
     total_gt = _require_gt(gt_images, "average precision")
     images = [_Image(gt, pred, class_aware) for gt, pred in zip(gt_images, pred_images)]

@@ -128,6 +128,11 @@ class BinaryMask(_FrozenGrid):
         return not bool((self.bits & ~other.bits).any())
 
 
+def _check_instance_id(instance_id) -> None:
+    if isinstance(instance_id, bool) or not isinstance(instance_id, int) or instance_id < 1:
+        raise ValueError(f"instance id must be a positive integer, got {instance_id!r}")
+
+
 @dataclass(frozen=True)
 class InstanceRecord:
     """Identity of one scene instance; ids are opaque positive integers."""
@@ -136,8 +141,7 @@ class InstanceRecord:
     category: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 1:
-            raise ValueError(f"instance id must be a positive integer, got {self.id!r}")
+        _check_instance_id(self.id)
         if self.category is not None and not isinstance(self.category, str):
             raise ValueError(f"category must be a string or None, got {self.category!r}")
 
@@ -454,8 +458,7 @@ class InstanceAnnotation:
     category: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 1:
-            raise ValueError(f"instance id must be a positive integer, got {self.id!r}")
+        _check_instance_id(self.id)
         self.amodal.require_same_shape(self.visible)
         if not self.visible.is_subset_of(self.amodal):
             raise ValueError(f"visible mask of instance {self.id} leaves its amodal mask")

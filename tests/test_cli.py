@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from semdist import (
+    GenConfig,
+    LayerStackScene,
     decode_levels,
+    encode_semdist,
+    generate,
     read_annotations,
     read_pgm,
     read_ppm,
     read_scene,
     read_semdist,
     render,
+    semdist_to_bytes,
     visible_mask_of,
     write_annotations,
     write_scene,
@@ -65,6 +70,26 @@ def test_encode_writes_one_map_per_instance(tmp_path, scene_file):
     assert names == ["scene_0001.sdm", "scene_0002.sdm"]
     semdist = read_semdist(out / "scene_0002.sdm")
     assert np.all(semdist.values[2] == np.float32(0.95))
+
+
+def test_encode_file_bytes_match_encode_semdist(tmp_path):
+    scene = generate(GenConfig(seed=11, object_count_range=(5, 6)))
+    scene_path = tmp_path / "crowd.json"
+    write_scene(scene, scene_path)
+    out = tmp_path / "maps"
+    assert main(["encode", "--scene", str(scene_path), "--confidence", "0.8", "--out", str(out)]) == 0
+    assert len(list(out.glob("*.sdm"))) == len(scene.instances) >= 5
+    for instance_id in scene.ids():
+        written = (out / f"crowd_{instance_id:04d}.sdm").read_bytes()
+        assert written == semdist_to_bytes(encode_semdist(scene, instance_id, 0.8))
+
+
+def test_encode_bad_confidence_exits_one_without_instances(tmp_path, capsys):
+    scene_path = tmp_path / "empty.json"
+    write_scene(LayerStackScene(3, 2, (), np.zeros((0, 2, 3), dtype=np.int32)), scene_path)
+    out = tmp_path / "maps"
+    assert main(["encode", "--scene", str(scene_path), "--confidence", "1.5", "--out", str(out)]) == 1
+    assert "confidence" in capsys.readouterr().err
 
 
 def test_decode_modes(tmp_path, scene_file):
@@ -151,6 +176,16 @@ def test_eval_gt_vs_gt_pair_of_directories(tmp_path, capsys):
     assert report["ar10"] == 1.0
     assert report["order_accuracy"] == 1.0
     assert len(report["per_image"]) == 3
+
+
+def test_eval_bad_order_threshold_exits_one(tmp_path, capsys):
+    gt = tmp_path / "gt"
+    assert main(["generate", "--seed", "4", "--count", "2", "--out", str(gt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(gt), "--pred", str(gt), "--c", "0.96"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold c must satisfy 0 < c < gt confidence" in captured.err
 
 
 def test_eval_single_files_with_annotations(tmp_path, scene_file):

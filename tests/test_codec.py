@@ -123,6 +123,13 @@ class TestEncodeScene:
             assert semdist.values.tolist() == [[0.0] * 3] * 2
         self._assert_matches_per_instance(scene, 0.95)
 
+    def test_bad_policy_raises_without_instances(self):
+        scene = LayerStackScene(3, 2, (), np.zeros((0, 2, 3), dtype=np.int32))
+        with pytest.raises(ValueError):
+            encode_scene(scene, 1.5)
+        with pytest.raises(DimensionMismatchError):
+            encode_scene(scene, ConfidencePolicy(grid_values=np.full((3, 3), 0.5)))
+
 
 class TestConfidencePolicy:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])

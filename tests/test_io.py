@@ -85,6 +85,12 @@ class TestRle:
         with pytest.raises(RleError):
             RleMask(2, 2, (True, 3))
 
+    def test_int_subclass_counts_are_accepted(self):
+        class Count(int):
+            pass
+
+        assert rle_decode(RleMask(2, 2, (Count(1), Count(3)))).area() == 3
+
     def test_dimensions_positive(self):
         with pytest.raises(RleError):
             RleMask(0, 3, (0,))
@@ -518,6 +524,23 @@ class TestAnnotationsJson:
             annotations_from_dict(doc)
         assert err.value.path == "$.annotations[0].amodal"
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("2", "expected an integer, got '2'"),
+            (-1, "expected an integer >= 0, got -1"),
+            (True, "expected an integer, got True"),
+            (2.0, "expected an integer, got 2.0"),
+        ],
+    )
+    def test_bad_rle_count_is_named_by_position(self, s0, count, message):
+        doc = annotations_to_dict(3, 3, scene_annotations(s0))
+        doc["annotations"][0]["amodal"][1] = count
+        with pytest.raises(SchemaError) as err:
+            annotations_from_dict(doc)
+        assert err.value.path == "$.annotations[0].amodal[1]"
+        assert message in str(err.value)
+
     def test_visible_outside_amodal_rejected(self, s0):
         doc = annotations_to_dict(3, 3, scene_annotations(s0))
         # instance 1 occupies rows 0 and 1; claim full visibility of the grid
@@ -775,6 +798,19 @@ class TestCocoaImport:
         ]
         # surviving regions keep their original 1-based positions
         assert [ann.id for ann in result.images[0].annotations] == [2, 3]
+
+    def test_rle_with_float_count_is_skipped_with_warning(self):
+        doc = self._document()
+        counts = doc["annotations"][0]["regions"][1]["segmentation"]["counts"]
+        counts[1] = float(counts[1])
+        result = import_cocoa(doc)
+        assert result.warnings == (
+            (
+                "$.annotations[0].regions[1].segmentation",
+                f"run counts must be integers, got {counts[1]!r}",
+            ),
+        )
+        assert [ann.id for ann in result.images[0].annotations] == [1]
 
     def test_unknown_fields_are_counted(self):
         doc = self._document()

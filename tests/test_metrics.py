@@ -362,6 +362,17 @@ class TestEvaluate:
         assert doc["order_accuracy"] is None  # no order items were supplied
         assert doc["meta"]["iou_thresholds"] == list(IOU_THRESHOLDS)
 
+    def test_bad_order_threshold_raises_like_order_accuracy(self, s0):
+        images = [scene_annotations(s0)]
+        maps = [(r.id, encode_semdist(s0, r.id)) for r in s0.instances]
+        message = "threshold c must satisfy 0 < c < gt confidence"
+        with pytest.raises(ValueError, match=message):
+            order_accuracy(s0, maps, c=0.96, gt_confidence=0.95)
+        with pytest.raises(ValueError, match=message):
+            evaluate(images, images, order_items=[(s0, maps)], c=0.96, gt_confidence=0.95)
+        # without order items the threshold is not used
+        assert evaluate(images, images, c=0.96).order_accuracy is None
+
     def test_image_count_mismatch(self, s0):
         images = [scene_annotations(s0)]
         with pytest.raises(ValueError):
