@@ -226,9 +226,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         k_large=args.k100,
     )
     doc = report_to_dict(report)
-    for key in ("ap", "ar10", "ar100", "ar_none", "ar_partial", "ar_heavy", "order_accuracy"):
-        value = doc[key]
-        print(f"{key}: {'none' if value is None else f'{value:.4f}'}")
+    for key, value in doc.items():
+        if not isinstance(value, (list, dict)):  # the metrics; per_image and meta are not printed
+            print(f"{key}: {'none' if value is None else f'{value:.4f}'}")
     if args.report is not None:
         Path(args.report).write_text(_dump_json(doc), encoding="utf-8")
         print(f"wrote report to {args.report}")

@@ -770,7 +770,6 @@ def import_cocoa(document) -> CocoaImport:
     if not isinstance(images_raw, list):
         raise CocoaImportError("$.images", "missing or not an array")
     image_meta: dict[int, tuple[Optional[str], int, int]] = {}
-    image_order: list[int] = []
     for idx, item in enumerate(images_raw):
         path = f"$.images[{idx}]"
         if not isinstance(item, dict):
@@ -788,7 +787,6 @@ def import_cocoa(document) -> CocoaImport:
         if item["width"] < 1 or item["height"] < 1:
             raise CocoaImportError(path, "image dimensions must be positive")
         image_meta[image_id] = (file_name, item["width"], item["height"])
-        image_order.append(image_id)
 
     annotations_raw = root.get("annotations", [])
     if not isinstance(annotations_raw, list):
@@ -832,11 +830,11 @@ def import_cocoa(document) -> CocoaImport:
                     warnings.append((f"{r_path}.segmentation", "empty amodal mask"))
                 continue
             visible: Optional[BinaryMask] = None
-            if "visible_mask" in region and region["visible_mask"] is not None:
+            if region.get("visible_mask") is not None:
                 visible = _decode_region_mask(
                     region["visible_mask"], f"{r_path}.visible_mask", width, height, warnings
                 )
-            if visible is None and "invisible_mask" in region and region["invisible_mask"] is not None:
+            if visible is None and region.get("invisible_mask") is not None:
                 invisible = _decode_region_mask(
                     region["invisible_mask"], f"{r_path}.invisible_mask", width, height, warnings
                 )
@@ -862,18 +860,8 @@ def import_cocoa(document) -> CocoaImport:
         )
         per_image[image_id] = (tuple(annotations), pairs)
 
-    images = []
-    for image_id in image_order:
-        file_name, width, height = image_meta[image_id]
-        annotations, pairs = per_image.get(image_id, ((), ()))
-        images.append(
-            CocoaImage(
-                image_id=image_id,
-                file_name=file_name,
-                width=width,
-                height=height,
-                annotations=annotations,
-                order_pairs=pairs,
-            )
-        )
-    return CocoaImport(images=tuple(images), warnings=tuple(warnings))
+    images = tuple(
+        CocoaImage(image_id, *meta, *per_image.get(image_id, ((), ())))
+        for image_id, meta in image_meta.items()
+    )
+    return CocoaImport(images=images, warnings=tuple(warnings))

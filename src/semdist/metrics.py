@@ -7,7 +7,7 @@ thresholds are built from integers so boundary cases like an IoU of exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -25,8 +25,6 @@ from .codec import _pair_overlap
 from .types import (
     BinaryMask,
     DimensionMismatchError,
-    EvalReport,
-    ImageDiagnostics,
     InstanceAnnotation,
     LayerStackScene,
     SemDistError,
@@ -39,6 +37,8 @@ __all__ = [
     "EmptyGroundTruthError",
     "NoOverlappingPairsError",
     "MatchResult",
+    "ImageDiagnostics",
+    "EvalReport",
     "iou",
     "iou_matrix",
     "match",
@@ -104,6 +104,47 @@ class MatchResult:
     pairs: tuple[tuple[int, int, float], ...]  # (gt_id, pred_id, iou)
     unmatched_gt: tuple[int, ...]
     unmatched_pred: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ImageDiagnostics:
+    """Per-image evaluation summary carried inside an EvalReport."""
+
+    image: str
+    gt_count: int
+    pred_count: int
+    matched_at_50: int
+
+
+@dataclass(frozen=True)
+class EvalReport:
+    """Scalar evaluation metrics plus per-image diagnostics and the heavy
+    occlusion cut the strata were split at.
+
+    The metric fields are the ones before per_image; each lies in [0, 1] or is
+    None. Stratified recall fields are None when the corresponding occlusion
+    stratum holds no ground-truth instances; order_accuracy is None when no
+    depth-order pairs were evaluable.
+    """
+
+    ap: float
+    ar10: float
+    ar100: float
+    ar_none: Optional[float]
+    ar_partial: Optional[float]
+    ar_heavy: Optional[float]
+    order_accuracy: Optional[float]
+    per_image: tuple[ImageDiagnostics, ...] = ()
+    heavy_cut: float = HEAVY_OCCLUSION_CUT
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            if field.name == "per_image":
+                break
+            value = getattr(self, field.name)
+            if value is not None and not (0.0 <= value <= 1.0):
+                raise ValueError(f"{field.name} must lie in [0, 1], got {value}")
+        object.__setattr__(self, "per_image", tuple(self.per_image))
 
 
 class _Image:
@@ -437,31 +478,20 @@ def evaluate(
         ar_heavy=ar_heavy,
         order_accuracy=order_value,
         per_image=tuple(diagnostics),
+        heavy_cut=heavy_cut,
     )
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    """EvalReport as a JSON-ready dict with fixed field names."""
-    return {
-        "ap": report.ap,
-        "ar10": report.ar10,
-        "ar100": report.ar100,
-        "ar_none": report.ar_none,
-        "ar_partial": report.ar_partial,
-        "ar_heavy": report.ar_heavy,
-        "order_accuracy": report.order_accuracy,
-        "per_image": [
-            {
-                "image": diag.image,
-                "gt_count": diag.gt_count,
-                "pred_count": diag.pred_count,
-                "matched_at_50": diag.matched_at_50,
-            }
-            for diag in report.per_image
-        ],
-        "meta": {
-            "iou_thresholds": list(IOU_THRESHOLDS),
-            "ar_averages_over_iou_thresholds": True,
-            "heavy_occlusion_cut": HEAVY_OCCLUSION_CUT,
-        },
+    """EvalReport as a JSON-ready dict: each field under its own name, in field
+    order, except heavy_cut, which meta reports as heavy_occlusion_cut."""
+    doc = {field.name: getattr(report, field.name) for field in fields(report)}
+    names = [field.name for field in fields(ImageDiagnostics)]
+    doc["per_image"] = [{name: getattr(diag, name) for name in names}
+                        for diag in report.per_image]
+    doc["meta"] = {
+        "iou_thresholds": list(IOU_THRESHOLDS),
+        "ar_averages_over_iou_thresholds": True,
+        "heavy_occlusion_cut": doc.pop("heavy_cut"),
     }
+    return doc

@@ -25,8 +25,6 @@ __all__ = [
     "SemDistMap",
     "LayeringMap",
     "InstanceAnnotation",
-    "ImageDiagnostics",
-    "EvalReport",
     "validate_scene",
     "amodal_mask_of",
     "visible_mask_of",
@@ -224,9 +222,6 @@ class LayerStackScene:
 
     def ids(self) -> tuple[int, ...]:
         return tuple(record.id for record in self.instances)
-
-    def has_instance(self, instance_id: int) -> bool:
-        return any(record.id == instance_id for record in self.instances)
 
     def record_of(self, instance_id: int) -> InstanceRecord:
         for record in self.instances:
@@ -446,7 +441,7 @@ class LayeringMap(_FrozenGrid):
 _RATE_TOLERANCE = 1e-9  # stored occlusion_rate must agree with the mask areas
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InstanceAnnotation:
     """I/O-facing record of one instance: masks, occlusion rate, score, label."""
 
@@ -502,62 +497,4 @@ class InstanceAnnotation:
             category=category,
         )
 
-    def __eq__(self, other: object):
-        if not isinstance(other, InstanceAnnotation):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.amodal == other.amodal
-            and self.visible == other.visible
-            and self.occlusion_rate == other.occlusion_rate
-            and self.score == other.score
-            and self.category == other.category
-        )
-
     __hash__ = None
-
-
-@dataclass(frozen=True)
-class ImageDiagnostics:
-    """Per-image evaluation summary carried inside an EvalReport."""
-
-    image: str
-    gt_count: int
-    pred_count: int
-    matched_at_50: int
-
-
-def _check_unit_interval(name: str, value: Optional[float]) -> None:
-    if value is None:
-        return
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Scalar evaluation metrics plus per-image diagnostics.
-
-    Stratified recall fields are None when the corresponding occlusion
-    stratum holds no ground-truth instances; order_accuracy is None when no
-    depth-order pairs were evaluable.
-    """
-
-    ap: float
-    ar10: float
-    ar100: float
-    ar_none: Optional[float]
-    ar_partial: Optional[float]
-    ar_heavy: Optional[float]
-    order_accuracy: Optional[float]
-    per_image: tuple[ImageDiagnostics, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_unit_interval("ap", self.ap)
-        _check_unit_interval("ar10", self.ar10)
-        _check_unit_interval("ar100", self.ar100)
-        _check_unit_interval("ar_none", self.ar_none)
-        _check_unit_interval("ar_partial", self.ar_partial)
-        _check_unit_interval("ar_heavy", self.ar_heavy)
-        _check_unit_interval("order_accuracy", self.order_accuracy)
-        object.__setattr__(self, "per_image", tuple(self.per_image))

@@ -178,6 +178,30 @@ def test_eval_gt_vs_gt_pair_of_directories(tmp_path, capsys):
     assert len(report["per_image"]) == 3
 
 
+def test_eval_prints_the_seven_metrics_in_report_order(tmp_path, capsys):
+    gt = tmp_path / "gt"
+    pred = tmp_path / "pred"
+    assert main(["generate", "--seed", "4", "--count", "2", "--out", str(gt)]) == 0
+    pred.mkdir()
+    for scene in sorted(gt.glob("scene_*.json")):
+        assert main(["perturb", "--gt", str(scene), "--erode", "1", "--score-noise", "0.2",
+                     "--out", str(pred / scene.name)]) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    keys = ["ap", "ar10", "ar100", "ar_none", "ar_partial", "ar_heavy", "order_accuracy"]
+    # annotation predictions carry no scene, so there is no depth order to score
+    assert report["order_accuracy"] is None
+    expected = [
+        f"{key}: {'none' if report[key] is None else format(report[key], '.4f')}"
+        for key in keys
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == expected + [f"wrote report to {report_path}"]
+
+
 def test_eval_bad_order_threshold_exits_one(tmp_path, capsys):
     gt = tmp_path / "gt"
     assert main(["generate", "--seed", "4", "--count", "2", "--out", str(gt)]) == 0

@@ -9,6 +9,7 @@ from semdist import (
     BinaryMask,
     DimensionMismatchError,
     EmptyGroundTruthError,
+    EvalReport,
     GenConfig,
     InstanceAnnotation,
     InstanceRecord,
@@ -361,6 +362,51 @@ class TestEvaluate:
         }
         assert doc["order_accuracy"] is None  # no order items were supplied
         assert doc["meta"]["iou_thresholds"] == list(IOU_THRESHOLDS)
+
+    def test_report_dict_follows_the_report_fields(self, corpus):
+        scenes = corpus[:4]
+        gt = [scene_annotations(scene) for scene in scenes]
+        pred = [perturb(image, PerturbConfig(erode_radius=1, score_noise=0.3, seed=5))
+                for image in gt]
+        order_items = [
+            (scene, [(r.id, encode_semdist(scene, r.id)) for r in scene.instances])
+            for scene in scenes
+        ]
+        report = evaluate(gt, pred, order_items=order_items)
+        assert report.order_accuracy is not None
+        doc = report_to_dict(report)
+        names = [field.name for field in dataclasses.fields(report)]
+        assert list(doc) == names[:-1] + ["meta"]  # heavy_cut is reported under meta
+        for name in names[:-2]:
+            assert doc[name] == getattr(report, name), name
+        assert doc["meta"]["heavy_occlusion_cut"] == report.heavy_cut
+        assert len(doc["per_image"]) == len(report.per_image) == 4
+        for entry, diag in zip(doc["per_image"], report.per_image):
+            assert entry == {field.name: getattr(diag, field.name)
+                             for field in dataclasses.fields(diag)}
+            assert list(entry) == [field.name for field in dataclasses.fields(diag)]
+
+    def test_report_meta_names_the_heavy_cut_used(self, corpus):
+        images = [scene_annotations(scene) for scene in corpus[:3]]
+        default = evaluate(images, images)
+        assert default.heavy_cut == 0.25
+        assert report_to_dict(default)["meta"]["heavy_occlusion_cut"] == 0.25
+        report = evaluate(images, images, heavy_cut=1.0)
+        assert report.heavy_cut == 1.0
+        assert report_to_dict(report)["meta"]["heavy_occlusion_cut"] == 1.0
+        assert report.ar_heavy is None  # no occlusion rate exceeds 1
+
+    def test_report_checks_every_metric_field(self):
+        metrics = dict(ap=0.5, ar10=0.5, ar100=0.5, ar_none=None, ar_partial=None,
+                       ar_heavy=None, order_accuracy=None)
+        for name in metrics:
+            for value in (-0.25, 1.5):
+                with pytest.raises(ValueError,
+                                   match=rf"^{name} must lie in \[0, 1\], got {value}$"):
+                    EvalReport(**{**metrics, name: value})
+            assert getattr(EvalReport(**{**metrics, name: 1.0}), name) == 1.0
+        # heavy_cut records a setting, which evaluate accepts at any value
+        assert EvalReport(**metrics, heavy_cut=2.0).heavy_cut == 2.0
 
     def test_bad_order_threshold_raises_like_order_accuracy(self, s0):
         images = [scene_annotations(s0)]

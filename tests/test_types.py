@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,37 @@ class TestInstanceAnnotation:
         mask = BinaryMask(np.ones((1, 1), dtype=bool))
         with pytest.raises(ValueError):
             InstanceAnnotation(1, mask, mask, occlusion_rate=0.0, score=score)
+
+
+def test_annotation_equality_follows_its_fields():
+    amodal = BinaryMask(np.array([[1, 1], [1, 0]], dtype=bool))
+    visible = BinaryMask(np.array([[1, 0], [1, 0]], dtype=bool))
+    base = InstanceAnnotation.from_masks(1, amodal, visible, score=0.5, category="cup")
+    copy = InstanceAnnotation.from_masks(
+        1, BinaryMask(amodal.bits.copy()), BinaryMask(visible.bits.copy()),
+        score=0.5, category="cup",
+    )
+    assert base == copy and not base != copy
+    # same areas, so the occlusion rate still agrees with the masks
+    other_amodal = BinaryMask(np.array([[1, 0], [1, 1]], dtype=bool))
+    other_visible = BinaryMask(np.array([[1, 1], [0, 0]], dtype=bool))
+    changed = [
+        dataclasses.replace(base, id=2),
+        dataclasses.replace(base, amodal=other_amodal),
+        dataclasses.replace(base, visible=other_visible),
+        dataclasses.replace(base, score=0.25),
+        dataclasses.replace(base, category="bowl"),
+        dataclasses.replace(base, category=None),
+    ]
+    for other in changed:
+        assert base != other and not base == other, other
+    # occlusion_rate alone differs within the rate tolerance of the mask areas
+    nudged = dataclasses.replace(base, occlusion_rate=base.occlusion_rate + 1e-12)
+    assert base != nudged
+    with pytest.raises(TypeError):
+        hash(base)
+    assert (base == "annotation") is False
+    assert (base == base.amodal) is False
 
 
 class TestEvalReport:
