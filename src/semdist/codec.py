@@ -25,13 +25,14 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _FrozenGrid
+from .types import _Box, _FrozenGrid, _box_of, _window
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
     "DEFAULT_THRESHOLD",
     "EMISSION_FLOOR",
     "ConfidencePolicy",
+    "ConfidencePrecisionError",
     "LayerCountError",
     "OrderVerdict",
     "OrderRegions",
@@ -69,6 +70,46 @@ class LayerCountError(SemDistError):
         self.requested = requested
         super().__init__(
             f"layer count {requested} is too small, the scene needs {required} channels"
+        )
+
+
+class ConfidencePrecisionError(SemDistError):
+    """A confidence does not survive float32 rounding at its visibility level.
+
+    confidence - level rounded to a value whose integer part is not -level,
+    or whose fraction is 0, so decoding would lose the pixel or its level.
+    """
+
+    def __init__(self, pixel: tuple[int, int], level: int, confidence: float):
+        self.pixel = pixel
+        self.level = level
+        self.confidence = confidence
+        x, y = pixel
+        super().__init__(
+            f"confidence {np.float32(confidence)!s} at level {level} does not survive "
+            f"float32 rounding at pixel ({x}, {y})"
+        )
+
+
+def _require_exact(
+    values: np.ndarray,
+    integer: np.ndarray,
+    confidence: Union[np.ndarray, np.float32],
+    where: np.ndarray,
+    origin: tuple[int, int],
+) -> None:
+    """Raise ConfidencePrecisionError at the first pixel of where whose value
+    does not lie strictly between integer (minus the level) and integer + 1.
+
+    The grids cover one window whose top-left pixel is origin = (y0, x0);
+    integer is float32 and confidence a float32 scalar or grid.
+    """
+    lost = where & ((np.floor(values) != integer) | (values == integer))
+    if lost.any():
+        y, x = np.argwhere(lost)[0]
+        conf = confidence[y, x] if np.ndim(confidence) else confidence
+        raise ConfidencePrecisionError(
+            (int(origin[1] + x), int(origin[0] + y)), -int(integer[y, x]), float(conf)
         )
 
 
@@ -121,10 +162,33 @@ class ConfidencePolicy:
 PolicyLike = Union[ConfidencePolicy, float]
 
 
-def _as_policy(policy: PolicyLike) -> ConfidencePolicy:
-    if isinstance(policy, ConfidencePolicy):
-        return policy
-    return ConfidencePolicy(constant=float(policy))
+def _confidence(policy: PolicyLike, height: int, width: int) -> Union[np.ndarray, np.float32]:
+    """The policy's confidence: a float32 scalar for a constant, else its grid
+    checked against the frame."""
+    if not isinstance(policy, ConfidencePolicy):
+        policy = ConfidencePolicy(constant=float(policy))
+    if policy.grid_values is None:
+        return np.float32(policy.constant)
+    return policy.grid(height, width)
+
+
+def _instance_levels(
+    scene: LayerStackScene, instance_id: int
+) -> tuple[Optional[_Box], Optional[np.ndarray]]:
+    """Support box of the instance and its levels on that box (LEVEL_ABSENT
+    where it is missing), both from one compare of the stacks; (None, None)
+    when no pixel holds the instance."""
+    scene.record_of(instance_id)
+    hits = scene.stacks == instance_id
+    box = _box_of(np.logical_or.reduce(hits, axis=0))
+    if box is None:
+        return None, None
+    local = hits[(slice(None), *_window(box))]
+    levels = np.full(local.shape[1:], LEVEL_ABSENT, dtype=np.int32)
+    # back to front, so the front-most level wins
+    for depth in reversed(range(local.shape[0])):
+        levels[local[depth]] = depth
+    return box, levels
 
 
 def visibility_levels(scene: LayerStackScene, instance_id: int) -> np.ndarray:
@@ -133,12 +197,11 @@ def visibility_levels(scene: LayerStackScene, instance_id: int) -> np.ndarray:
     The index equals the number of objects that must be removed before the
     instance becomes visible at that pixel (0 = already visible).
     """
-    scene.record_of(instance_id)
-    levels = np.full((scene.height, scene.width), LEVEL_ABSENT, dtype=np.int32)
-    # back to front, so the front-most level wins
-    for depth in reversed(range(scene.stacks.shape[0])):
-        levels[scene.stacks[depth] == instance_id] = depth
-    return levels
+    box, levels = _instance_levels(scene, instance_id)
+    frame = np.full((scene.height, scene.width), LEVEL_ABSENT, dtype=np.int32)
+    if box is not None:
+        frame[_window(box)] = levels
+    return frame
 
 
 def encode_semdist(
@@ -147,10 +210,14 @@ def encode_semdist(
     policy: PolicyLike = DEFAULT_CONFIDENCE,
 ) -> SemDistMap:
     """Encode one instance: confidence minus visibility level inside its
-    amodal support, exactly 0 outside."""
-    policy = _as_policy(policy)
-    levels = visibility_levels(scene, instance_id)
-    return _semdist_from_levels(levels, policy.grid(scene.height, scene.width))
+    amodal support, exactly 0 outside.
+
+    Raises ConfidencePrecisionError where the float32 value would not decode
+    back to the level.
+    """
+    shape = (scene.height, scene.width)
+    confidence = _confidence(policy, *shape)
+    return _semdist_from_levels(shape, *_instance_levels(scene, instance_id), confidence)
 
 
 def encode_scene(
@@ -158,21 +225,53 @@ def encode_scene(
 ) -> dict[int, SemDistMap]:
     """Encode each instance; keys follow scene.ids(), and each map equals
     encode_semdist(scene, id, policy)."""
-    confidence = _as_policy(policy).grid(scene.height, scene.width)
+    shape = (scene.height, scene.width)
+    confidence = _confidence(policy, *shape)
     return {
-        instance_id: _semdist_from_levels(visibility_levels(scene, instance_id), confidence)
+        instance_id: _semdist_from_levels(
+            shape, *_instance_levels(scene, instance_id), confidence
+        )
         for instance_id in scene.ids()
     }
 
 
-def _semdist_from_levels(levels: np.ndarray, confidence: np.ndarray) -> SemDistMap:
-    """Confidence minus level where the level is set, exactly 0 elsewhere."""
-    values = np.where(
-        levels != LEVEL_ABSENT,
-        confidence - levels.astype(np.float32),
-        np.float32(0.0),
-    )
-    return SemDistMap(values)
+def _semdist_from_levels(
+    shape: tuple[int, int],
+    box: Optional[_Box],
+    levels: Optional[np.ndarray],
+    confidence: Union[np.ndarray, np.float32],
+) -> SemDistMap:
+    """Confidence minus level where the level is set, exactly +0.0 elsewhere.
+
+    levels covers box, the box of the set levels (None: none is set), and
+    confidence is a float32 scalar or a grid of the given shape. Only the
+    box is computed and checked.
+    """
+    values = np.zeros(shape, dtype=np.float32)
+    if box is not None:
+        window = _window(box)
+        if np.ndim(confidence):
+            confidence = confidence[window]
+        present = levels != LEVEL_ABSENT
+        integer = -levels.astype(np.float32)
+        local = values[window]
+        # confidence + (-level) has the same bits as confidence - level
+        np.add(confidence, integer, out=local, where=present)
+        _require_exact(local, integer, confidence, present, (box[0], box[2]))
+    return SemDistMap._built(values, box)
+
+
+def _decode_on_box(semdist: SemDistMap, decode, background: np.generic) -> np.ndarray:
+    """Full frame holding decode(values) on the map's support box and
+    background elsewhere. Outside the box every value is +0.0, which each
+    decoder maps to its background."""
+    shape = semdist.values.shape
+    frame = np.full(shape, background) if background else np.zeros(shape, background.dtype)
+    box = semdist._support_box
+    if box is not None:
+        window = _window(box)
+        frame[window] = decode(semdist.values[window])
+    return frame
 
 
 def decode_modal(semdist: SemDistMap) -> np.ndarray:
@@ -181,14 +280,16 @@ def decode_modal(semdist: SemDistMap) -> np.ndarray:
     Values already in [0, 1) pass through; occluded (negative) pixels and
     background become 0.
     """
-    values = semdist.values
-    return np.where((values >= 0.0) & (values < 1.0), values, np.float32(0.0))
+
+    def modal(values: np.ndarray) -> np.ndarray:
+        return np.where((values >= 0.0) & (values < 1.0), values, np.float32(0.0))
+
+    return _decode_on_box(semdist, modal, np.float32(0.0))
 
 
 def decode_amodal(semdist: SemDistMap) -> np.ndarray:
     """Confidence heatmap of the full amodal region: the fractional part."""
-    values = semdist.values
-    return values - np.floor(values)
+    return _decode_on_box(semdist, lambda values: values - np.floor(values), np.float32(0.0))
 
 
 def decode_levels(
@@ -197,10 +298,14 @@ def decode_levels(
     """Recover integer visibility levels where amodal confidence clears the
     threshold; LEVEL_ABSENT elsewhere."""
     _check_threshold(confidence_threshold)
-    values = semdist.values
-    fractional = values - np.floor(values)
-    levels = (-np.floor(values)).astype(np.int32)
-    return np.where(fractional >= confidence_threshold, levels, np.int32(LEVEL_ABSENT))
+
+    def levels(values: np.ndarray) -> np.ndarray:
+        floor = np.floor(values)
+        kept = (values - floor) >= confidence_threshold
+        # only kept pixels reach the cast: a value without fraction may not fit int32
+        return np.where(kept, -floor, np.float32(LEVEL_ABSENT)).astype(np.int32)
+
+    return _decode_on_box(semdist, levels, np.int32(LEVEL_ABSENT))
 
 
 def _check_threshold(c: float) -> None:
@@ -218,8 +323,8 @@ def _pair_overlap(
     the pixels where both amodal confidences jointly clear c:
     frac_a * frac_b > c^2. None when the boxes are disjoint.
 
-    Outside its box a map holds only 0 or -0.0, whose fractional part is 0,
-    so no overlap pixel lies outside the window.
+    Outside its box a map holds only +0.0, whose fractional part is 0, so no
+    overlap pixel lies outside the window.
     """
     map_a.require_same_shape(map_b)
     _check_threshold(c)
@@ -240,8 +345,9 @@ def _votes(
     map_a: SemDistMap, map_b: SemDistMap, window: _Window, omega: np.ndarray
 ) -> np.ndarray:
     """floor(A) - floor(B) on the window where omega holds, 0 elsewhere."""
-    diff = (np.floor(map_a.values[window]) - np.floor(map_b.values[window])).astype(np.int32)
-    return np.where(omega, diff, np.int32(0))
+    diff = np.floor(map_a.values[window]) - np.floor(map_b.values[window])
+    # only omega reaches the cast: a value without fraction may not fit int32
+    return np.where(omega, diff, np.float32(0.0)).astype(np.int32)
 
 
 def overlap_region(
@@ -396,11 +502,15 @@ def semdist_from_layering(
     policy, which keeps values below 1 and makes binary targets reproduce
     encode_semdist bit for bit.
     """
-    policy = _as_policy(policy)
+    cap = _confidence(policy, layering.height, layering.width)
     stacked = layering.values
     winner = np.argmax(stacked, axis=0)
     winning = np.take_along_axis(stacked, winner[None, :, :], axis=0)[0]
-    confidence = np.minimum(winning, policy.grid(layering.height, layering.width))
-    return _semdist_from_levels(
-        np.where(winning >= EMISSION_FLOOR, winner, LEVEL_ABSENT), confidence
-    )
+    emitted = winning >= EMISSION_FLOOR
+    box = _box_of(emitted)
+    levels = None
+    if box is not None:
+        window = _window(box)
+        levels = np.where(emitted[window], winner[window], LEVEL_ABSENT).astype(np.int32)
+    shape = (layering.height, layering.width)
+    return _semdist_from_levels(shape, box, levels, np.minimum(winning, cap))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .codec import DEFAULT_THRESHOLD
-from .codec import _pair_overlap
+from .codec import _pair_overlap, _require_exact
 from .types import (
     BinaryMask,
     InstanceAnnotation,
@@ -318,6 +318,9 @@ def perturb_semdist(
     while leaving the confidence (fractional) content untouched. Pairs are
     visited in ascending id order; one uniform draw is consumed per
     overlapping pair. A map that no swap touched is returned as it came.
+
+    Raises ConfidencePrecisionError where a fraction does not survive float32
+    rounding at the integer part it is moved to.
     """
     rng = _rng(config.seed)
     entries = sorted(maps, key=lambda item: item[0])
@@ -334,9 +337,14 @@ def perturb_semdist(
                 swapped[k] = np.array(semdist.values)
         va, vb = swapped[i][window], swapped[j][window]  # views: the swap writes through
         floor_a, floor_b = np.floor(va), np.floor(vb)
-        va[omega] = (va - floor_a + floor_b)[omega]
-        vb[omega] = (vb - floor_b + floor_a)[omega]
+        frac_a, frac_b = va - floor_a, vb - floor_b
+        va[omega] = (frac_a + floor_b)[omega]
+        vb[omega] = (frac_b + floor_a)[omega]
+        origin = (window[0].start, window[1].start)
+        _require_exact(va, floor_b, frac_a, omega, origin)
+        _require_exact(vb, floor_a, frac_b, omega, origin)
+    # a swap keeps every omega pixel non-zero, so each map keeps its box
     return [
-        (mid, SemDistMap(swapped[k]) if k in swapped else semdist)
+        (mid, SemDistMap._built(swapped[k], semdist._support_box) if k in swapped else semdist)
         for k, (mid, semdist) in enumerate(entries)
     ]

@@ -1,8 +1,9 @@
 """Core value types for layered occlusion scenes and their invariants.
 
 Everything here is an immutable value: numpy payloads are copied on
-construction and marked read-only, so instances are safe to share across
-threads and to use as fixture data.
+construction (a map the library has just built keeps its fresh frame) and
+marked read-only, so instances are safe to share across threads and to use
+as fixture data.
 """
 
 from __future__ import annotations
@@ -369,14 +370,39 @@ def visible_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
     return BinaryMask(scene.stacks[0] == instance_id)
 
 
+_Box = tuple[int, int, int, int]
+"""Half-open (y0, y1, x0, x1) bounds of a grid's support."""
+
+
+def _box_of(mask: np.ndarray) -> Optional[_Box]:
+    """Smallest box holding every True of a 2-D mask; None when there is none."""
+    rows = np.logical_or.reduce(mask, axis=1).nonzero()[0]
+    if rows.size == 0:
+        return None
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.logical_or.reduce(mask[y0:y1], axis=0).nonzero()[0]
+    return y0, y1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _window(box: _Box) -> tuple[slice, slice]:
+    return slice(box[0], box[1]), slice(box[2], box[3])
+
+
 @dataclass(frozen=True, eq=False)
 class SemDistMap(_FrozenGrid):
     """Single-channel float32 grid encoding one instance.
 
     The fractional part of a value is an occurrence confidence in (0, 1); the
     non-positive integer part is minus the number of objects occluding the
-    pixel. Pixels outside the instance's amodal support hold exactly 0, so
-    every stored value is strictly below 1.
+    pixel, so every stored value is strictly below 1. Pixels outside the
+    instance's amodal support hold 0: maps built by this package hold exactly
+    +0.0 there, while maps read from files or built by hand may also hold
+    -0.0.
+
+    The support box is the smallest box around the values whose bit pattern
+    is not +0.0, so a -0.0 counts as inside; outside it every value is +0.0.
+    Per-map work (decoding, and pair work on the intersection of two boxes)
+    runs on the box only.
     """
 
     values: np.ndarray
@@ -391,17 +417,27 @@ class SemDistMap(_FrozenGrid):
         if not (values < 1.0).all():
             raise ValueError("map values must be strictly below 1")
 
+    @classmethod
+    def _built(cls, values: np.ndarray, box: Optional[_Box]) -> "SemDistMap":
+        """Wrap a freshly built float32 frame without copying it.
+
+        The frame must hold +0.0 outside box and box must be its support box;
+        only the box is checked, and the box is cached as given.
+        """
+        if box is not None:
+            cls._check(values[_window(box)])
+        values.setflags(write=False)
+        semdist = object.__new__(cls)
+        object.__setattr__(semdist, "values", values)
+        object.__setattr__(semdist, "_grid", values)
+        semdist.__dict__["_support_box"] = box
+        return semdist
+
     @cached_property
-    def _support_box(self) -> Optional[tuple[int, int, int, int]]:
-        """Half-open (y0, y1, x0, x1) around the non-zero values; None when
-        every value is 0. Cached, which holds because values is a read-only
-        private copy."""
-        nonzero = self.values != 0.0
-        rows = np.flatnonzero(nonzero.any(axis=1))
-        if rows.size == 0:
-            return None
-        cols = np.flatnonzero(nonzero.any(axis=0))
-        return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    def _support_box(self) -> Optional[_Box]:
+        """Support box, or None when every value is +0.0. Cached, which holds
+        because values is a read-only private array."""
+        return _box_of(self.values.view(np.uint32) != 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,6 +92,14 @@ def test_encode_bad_confidence_exits_one_without_instances(tmp_path, capsys):
     assert "confidence" in capsys.readouterr().err
 
 
+def test_encode_confidence_lost_at_depth_exits_one_and_writes_nothing(tmp_path, scene_file, capsys):
+    # instance 2 of s0 sits at level 1 in row 1, where 1e-8 - 1 rounds to -1.0
+    out = tmp_path / "maps"
+    assert main(["encode", "--scene", str(scene_file), "--confidence", "1e-8", "--out", str(out)]) == 1
+    assert "at level 1 does not survive float32 rounding at pixel (0, 1)" in capsys.readouterr().err
+    assert not list(out.glob("*.sdm"))
+
+
 def test_decode_modes(tmp_path, scene_file):
     maps = tmp_path / "maps"
     main(["encode", "--scene", str(scene_file), "--out", str(maps)])

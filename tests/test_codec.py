@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdist import (
     LEVEL_ABSENT,
     ConfidencePolicy,
+    ConfidencePrecisionError,
     DimensionMismatchError,
     InstanceRecord,
     LayerCountError,
@@ -23,11 +28,15 @@ from semdist import (
     object_order,
     order_regions,
     overlap_region,
+    PerturbConfig,
+    perturb_semdist,
     relative_order,
     semdist_from_layering,
     visibility_levels,
     visible_mask_of,
 )
+from semdist.codec import _semdist_from_levels
+from semdist.types import _box_of, _window
 
 F = np.float32
 
@@ -379,3 +388,125 @@ class TestSemdistFromLayering:
                 assert np.array_equal(
                     decode_levels(semdist), visibility_levels(scene, record.id)
                 )
+
+
+def _column_scene(depth):
+    """1x2 scene: instances 1..depth+1 stacked front to back on pixel (1, 0),
+    so instance depth+1 sits at level depth there."""
+    stacks = np.zeros((depth + 1, 1, 2), dtype=np.int32)
+    stacks[:, 0, 1] = np.arange(1, depth + 2)
+    return LayerStackScene(2, 1, tuple(InstanceRecord(i) for i in range(1, depth + 2)), stacks)
+
+
+class TestPrecisionEnvelope:
+    """confidence - level is rounded to float32; a map is built only where
+    every pixel keeps -level as its integer part and a non-zero fraction."""
+
+    @pytest.mark.parametrize("confidence", [0.99999994, 1e-8])
+    def test_lost_fraction_at_level_2_raises(self, confidence):
+        scene = _column_scene(2)
+        with pytest.raises(ConfidencePrecisionError) as err:
+            encode_semdist(scene, 3, confidence)
+        assert (err.value.pixel, err.value.level) == ((1, 0), 2)
+        assert err.value.confidence == float(F(confidence))
+        assert "level 2" in str(err.value) and "(1, 0)" in str(err.value)
+        with pytest.raises(ConfidencePrecisionError):
+            encode_scene(scene, confidence)
+        with pytest.raises(ConfidencePrecisionError):
+            semdist_from_layering(instance_layering_target(scene, 3, 3), confidence)
+
+    def test_default_confidence_at_level_2_round_trips(self):
+        scene = _column_scene(2)
+        semdist = encode_semdist(scene, 3, 0.95)
+        assert decode_levels(semdist).tolist() == [[LEVEL_ABSENT, 2]]
+        assert decode_amodal(semdist)[0, 1] == F(0.95000005)
+
+    def test_grid_policy_names_the_first_bad_pixel(self):
+        stacks = np.array([[[1, 1, 1]], [[2, 2, 2]], [[3, 3, 3]]], dtype=np.int32)
+        scene = LayerStackScene(3, 1, tuple(InstanceRecord(i) for i in (1, 2, 3)), stacks)
+        grid = np.array([[0.95, 1e-8, 0.99999994]], dtype=np.float32)
+        with pytest.raises(ConfidencePrecisionError) as err:
+            encode_semdist(scene, 3, ConfidencePolicy(grid_values=grid))
+        assert (err.value.pixel, err.value.level, err.value.confidence) == ((1, 0), 2, float(F(1e-8)))
+
+    @pytest.mark.parametrize("front_id, deep_id", [(1, 2), (2, 1)])
+    def test_swap_that_loses_the_fraction_raises(self, front_id, deep_id):
+        front = np.zeros((2, 3), F)
+        front[1, 1:] = F(0.99999994)
+        deep = np.zeros((2, 3), F)
+        deep[:, 2] = F(0.95) - F(2)
+        maps = [(front_id, SemDistMap(front)), (deep_id, SemDistMap(deep))]
+        with pytest.raises(ConfidencePrecisionError) as err:
+            perturb_semdist(maps, PerturbConfig(level_flip_prob=1.0))
+        assert (err.value.pixel, err.value.level) == ((2, 1), 2)
+        assert err.value.confidence == float(F(0.99999994))
+
+    def test_swap_that_keeps_the_fractions_passes(self):
+        front = SemDistMap(np.array([[F(0.95)]]))
+        deep = SemDistMap(np.array([[F(0.9) - F(2)]]))
+        [(_, a), (_, b)] = perturb_semdist([(1, front), (2, deep)], PerturbConfig(level_flip_prob=1.0))
+        assert decode_levels(a).tolist() == [[2]] and decode_levels(b).tolist() == [[0]]
+
+
+_TINY_C = float(np.nextafter(F(0), F(1)))  # keeps every pixel with a non-zero fraction
+
+
+@st.composite
+def _levels_and_confidences(draw):
+    height, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    level = st.one_of(
+        st.just(LEVEL_ABSENT), st.integers(0, 8), st.integers(0, 2**23), st.just(2**23)
+    )
+    confidence = st.one_of(
+        st.sampled_from([0.99999994, 1e-8, 0.95, 0.5]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, width=32),
+    )
+    levels = np.array(draw(st.lists(level, min_size=height * width, max_size=height * width)))
+    grid = np.array(draw(st.lists(confidence, min_size=height * width, max_size=height * width)))
+    return levels.reshape(height, width).astype(np.int32), grid.reshape(height, width).astype(F)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_levels_and_confidences())
+def test_every_encoded_map_decodes_back_or_raises(case):
+    levels, confidence = case
+    present = levels != LEVEL_ABSENT
+    # the oracle: per pixel, in float32 scalar arithmetic
+    exact = all(
+        np.floor(F(c) - F(l)) == -l and F(c) - F(l) != -l
+        for l, c in zip(levels[present].tolist(), confidence[present].tolist())
+    )
+    box = _box_of(present)
+    local = None if box is None else levels[_window(box)]
+    try:
+        semdist = _semdist_from_levels(levels.shape, box, local, confidence)
+    except ConfidencePrecisionError as err:
+        assert not exact
+        x, y = err.pixel
+        assert err.level == levels[y, x]
+        return
+    assert exact
+    assert np.array_equal(decode_levels(semdist, _TINY_C), levels)
+    assert np.array_equal(decode_amodal(semdist) > 0.0, present)
+    assert np.array_equal(decode_modal(semdist) > 0.0, levels == 0)
+
+
+class TestNoCastWarnings:
+    """A map may hold any finite value below 1. Values without a fraction are
+    never decoded or voted, so they must not reach an int32 cast."""
+
+    def _quietly(self, fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fn(*args)
+
+    def test_decode_levels(self):
+        semdist = SemDistMap(np.array([[-1e10, 0.5]], dtype=F))
+        assert self._quietly(decode_levels, semdist).tolist() == [[LEVEL_ABSENT, 0]]
+
+    def test_relative_order_and_order_regions(self):
+        a = SemDistMap(np.array([[-1e10, 0.5]], dtype=F))
+        b = SemDistMap(np.array([[-2.5, F(0.6) - F(1)]], dtype=F))
+        assert self._quietly(relative_order, a, b).values.tolist() == [[0, 1]]
+        regions = self._quietly(order_regions, a, b)
+        assert (regions.verdict, regions.overlap_area) == (OrderVerdict.A_IN_FRONT, 1)
