@@ -245,20 +245,31 @@ def _semdist_from_levels(
 
     levels covers box, the box of the set levels (None: none is set), and
     confidence is a float32 scalar or a grid of the given shape. Only the
-    box is computed and checked.
+    box is computed and checked; the frame around it is +0.0.
     """
     values = np.zeros(shape, dtype=np.float32)
     if box is not None:
-        window = _window(box)
-        if np.ndim(confidence):
-            confidence = confidence[window]
-        present = levels != LEVEL_ABSENT
-        integer = -levels.astype(np.float32)
-        local = values[window]
-        # confidence + (-level) has the same bits as confidence - level
-        np.add(confidence, integer, out=local, where=present)
-        _require_exact(local, integer, confidence, present, (box[0], box[2]))
+        values[_window(box)] = _semdist_on_box(box, levels, confidence)
     return SemDistMap._built(values, box)
+
+
+def _semdist_on_box(
+    box: _Box, levels: np.ndarray, confidence: Union[np.ndarray, np.float32]
+) -> np.ndarray:
+    """The values of _semdist_from_levels on box alone, checked the same way.
+
+    Raises ConfidencePrecisionError where a value would not decode back to
+    its level, naming the pixel in frame coordinates.
+    """
+    if np.ndim(confidence):
+        confidence = confidence[_window(box)]
+    present = levels != LEVEL_ABSENT
+    integer = -levels.astype(np.float32)
+    local = np.zeros(levels.shape, dtype=np.float32)
+    # confidence + (-level) has the same bits as confidence - level
+    np.add(confidence, integer, out=local, where=present)
+    _require_exact(local, integer, confidence, present, (box[0], box[2]))
+    return local
 
 
 def _decode_on_box(semdist: SemDistMap, decode, background: np.generic) -> np.ndarray:
@@ -315,37 +326,73 @@ def _check_threshold(c: float) -> None:
 
 _Window = tuple[slice, slice]
 
+_Operand = tuple[Optional[_Box], Optional[np.ndarray], tuple[int, int]]
+"""One side of a pair: a support box (None when every value is +0.0), an
+array holding the values on that box, and the frame pixel (y, x) at that
+array's [0, 0]: (0, 0) for the full frame of a SemDistMap, the box's corner
+for an array of the box alone."""
 
-def _pair_overlap(
-    map_a: SemDistMap, map_b: SemDistMap, c: float
-) -> Optional[tuple[_Window, np.ndarray]]:
-    """Intersection of the two maps' support boxes and, on that window only,
-    the pixels where both amodal confidences jointly clear c:
-    frac_a * frac_b > c^2. None when the boxes are disjoint.
+
+def _operand(semdist: SemDistMap) -> _Operand:
+    return semdist._support_box, semdist.values, (0, 0)
+
+
+def _encoded_on_box(
+    scene: LayerStackScene, instance_id: int, confidence: Union[np.ndarray, np.float32]
+) -> _Operand:
+    """The values encode_semdist gives the instance, on its support box alone."""
+    box, levels = _instance_levels(scene, instance_id)
+    if box is None:
+        return None, None, (0, 0)
+    return box, _semdist_on_box(box, levels, confidence), (box[0], box[2])
+
+
+def _common_window(
+    a: _Operand, b: _Operand
+) -> Optional[tuple[_Window, np.ndarray, np.ndarray]]:
+    """Intersection of the two support boxes as a frame window, with the
+    values of a and of b on it; None when the boxes are disjoint.
 
     Outside its box a map holds only +0.0, whose fractional part is 0, so no
-    overlap pixel lies outside the window.
+    pixel of a pair's overlap lies outside the window.
     """
-    map_a.require_same_shape(map_b)
-    _check_threshold(c)
-    box_a, box_b = map_a._support_box, map_b._support_box
+    (box_a, values_a, (ya, xa)), (box_b, values_b, (yb, xb)) = a, b
     if box_a is None or box_b is None:
         return None
     y0, x0 = max(box_a[0], box_b[0]), max(box_a[2], box_b[2])
     y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
     if y0 >= y1 or x0 >= x1:
         return None
-    window = (slice(y0, y1), slice(x0, x1))
-    a, b = map_a.values[window], map_b.values[window]
+    return (
+        (slice(y0, y1), slice(x0, x1)),
+        values_a[y0 - ya:y1 - ya, x0 - xa:x1 - xa],
+        values_b[y0 - yb:y1 - yb, x0 - xb:x1 - xb],
+    )
+
+
+def _joint_overlap(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+    """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
     joint = (a - np.floor(a)) * (b - np.floor(b))
-    return window, joint > np.float64(c) * np.float64(c)
+    return joint > np.float64(c) * np.float64(c)
 
 
-def _votes(
-    map_a: SemDistMap, map_b: SemDistMap, window: _Window, omega: np.ndarray
-) -> np.ndarray:
-    """floor(A) - floor(B) on the window where omega holds, 0 elsewhere."""
-    diff = np.floor(map_a.values[window]) - np.floor(map_b.values[window])
+def _pair_overlap(
+    map_a: SemDistMap, map_b: SemDistMap, c: float
+) -> Optional[tuple[_Window, np.ndarray]]:
+    """Intersection of the two maps' support boxes and, on that window only,
+    their joint overlap. None when the boxes are disjoint."""
+    map_a.require_same_shape(map_b)
+    _check_threshold(c)
+    common = _common_window(_operand(map_a), _operand(map_b))
+    if common is None:
+        return None
+    window, a, b = common
+    return window, _joint_overlap(a, b, c)
+
+
+def _votes(a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """floor(a) - floor(b) where omega holds, 0 elsewhere."""
+    diff = np.floor(a) - np.floor(b)
     # only omega reaches the cast: a value without fraction may not fit int32
     return np.where(omega, diff, np.float32(0.0)).astype(np.int32)
 
@@ -385,7 +432,7 @@ def relative_order(
     pair = _pair_overlap(map_a, map_b, c)
     if pair is not None:
         window, omega = pair
-        votes[window] = _votes(map_a, map_b, window, omega)
+        votes[window] = _votes(map_a.values[window], map_b.values[window], omega)
     return RelativeOrderMap(votes)
 
 
@@ -432,12 +479,22 @@ def order_regions(
     intersection of the two maps' support boxes, so a pair whose boxes are
     disjoint returns DISJOINT without reading its pixels.
     """
-    pair = _pair_overlap(map_a, map_b, c)
-    if pair is None or not pair[1].any():
+    map_a.require_same_shape(map_b)
+    _check_threshold(c)
+    return _order_regions(_operand(map_a), _operand(map_b), c)
+
+
+def _order_regions(a: _Operand, b: _Operand, c: float) -> OrderRegions:
+    """order_regions of two operands of one frame, for a c already checked."""
+    common = _common_window(a, b)
+    if common is None:
         return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
-    window, omega = pair
+    _, values_a, values_b = common
+    omega = _joint_overlap(values_a, values_b, c)
+    if not omega.any():
+        return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
     # components of masks that are empty outside the window are the same on the window
-    votes = _votes(map_a, map_b, window, omega)
+    votes = _votes(values_a, values_b, omega)
     front = _largest_component(votes > 0)
     behind = _largest_component(votes < 0)
     if front == behind:

@@ -16,12 +16,10 @@ import numpy as np
 from .codec import (
     DEFAULT_CONFIDENCE,
     DEFAULT_THRESHOLD,
-    ConfidencePolicy,
     OrderVerdict,
-    encode_scene,
     object_order,
 )
-from .codec import _pair_overlap
+from .codec import _common_window, _confidence, _encoded_on_box, _order_regions
 from .types import (
     BinaryMask,
     DimensionMismatchError,
@@ -329,24 +327,26 @@ def _order_counts(
     c: float,
     gt_confidence: float,
 ) -> tuple[int, int, int]:
-    """(correct, evaluated, skipped ambiguous gt) over overlapping gt pairs."""
+    """(correct, evaluated, skipped ambiguous gt) over overlapping gt pairs.
+
+    The gt order is read from each instance's values on its support box, the
+    values encode_scene would write there, without building gt maps.
+    """
     by_id = dict(pred_maps)
     ids = sorted(scene_gt.ids())
-    gt_maps = encode_scene(scene_gt, ConfidencePolicy(constant=gt_confidence))
+    confidence = _confidence(gt_confidence, scene_gt.height, scene_gt.width)
+    gt = {instance_id: _encoded_on_box(scene_gt, instance_id, confidence)
+          for instance_id in scene_gt.ids()}
 
     correct = 0
     evaluated = 0
     skipped = 0
     for id_a, id_b in combinations(ids, 2):
-        gt_a, gt_b = gt_maps[id_a], gt_maps[id_b]
-        pair = _pair_overlap(gt_a, gt_b, c)
-        if pair is None:
-            continue
-        window = pair[0]
+        common = _common_window(gt[id_a], gt[id_b])
         # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
-        if not ((gt_a.values[window] != 0.0) & (gt_b.values[window] != 0.0)).any():
+        if common is None or not ((common[1] != 0.0) & (common[2] != 0.0)).any():
             continue
-        gt_verdict = object_order(gt_a, gt_b, c)
+        gt_verdict = _order_regions(gt[id_a], gt[id_b], c).verdict
         if gt_verdict in (OrderVerdict.AMBIGUOUS, OrderVerdict.DISJOINT):
             skipped += 1  # no defined gt order for this pair
             continue
@@ -381,6 +381,11 @@ def order_accuracy(
     pred_maps pairs each predicted map with the gt id it was assigned to.
     Ambiguous or disjoint predictions on an ordered gt pair count as
     incorrect; gt pairs whose own order is ambiguous are excluded.
+
+    The gt order is computed from the scene's stacks at gt_confidence without
+    building gt maps; it is the order of encode_scene(scene_gt, gt_confidence).
+    Raises ConfidencePrecisionError, as that encode does, where gt_confidence
+    does not survive float32 rounding at a level of the scene.
     """
     _check_order_threshold(c, gt_confidence)
     correct, evaluated, _ = _order_counts(scene_gt, pred_maps, c, gt_confidence)
@@ -439,7 +444,10 @@ def evaluate(
     order_items optionally supplies (gt scene, assigned predicted maps) pairs
     for depth-order accuracy, pooled over all scenes; without them (or with
     no evaluable pair) order_accuracy is None. With them, c must satisfy
-    0 < c < gt_confidence, as in order_accuracy.
+    0 < c < gt_confidence, as in order_accuracy. The gt order of each scene
+    is computed from its stacks at gt_confidence without building gt maps,
+    and ConfidencePrecisionError is raised where gt_confidence does not
+    survive float32 rounding at a level of a scene.
     """
     _check_image_counts(gt_images, pred_images)
     if image_names is None:

@@ -56,7 +56,8 @@ class _FrozenGrid:
     noun for messages; _check adds its own value checks. The payload is
     copied to the dtype, must have the rank and no 0-length axis, and is
     marked read-only. Grids compare equal only to grids of the same type
-    with the same shape and values.
+    with the same shape and values; float32 values compare by bit pattern,
+    so -0.0 and +0.0 differ, as they do in a map's support box and file.
     """
 
     _field: ClassVar[str] = "values"
@@ -98,9 +99,10 @@ class _FrozenGrid:
     def __eq__(self, other: object):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._grid.shape == other._grid.shape and bool(
-            np.array_equal(self._grid, other._grid)
-        )
+        mine, theirs = self._grid, other._grid
+        if self._dtype is np.float32:  # by bits, so -0.0 != +0.0; values are finite
+            mine, theirs = mine.view(np.uint32), theirs.view(np.uint32)
+        return mine.shape == theirs.shape and bool(np.array_equal(mine, theirs))
 
     __hash__ = None
 

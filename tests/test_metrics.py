@@ -7,6 +7,7 @@ import pytest
 from semdist import (
     IOU_THRESHOLDS,
     BinaryMask,
+    ConfidencePrecisionError,
     DimensionMismatchError,
     EmptyGroundTruthError,
     EvalReport,
@@ -22,6 +23,7 @@ from semdist import (
     assign_maps_to_gt,
     average_precision,
     average_recall,
+    encode_scene,
     encode_semdist,
     evaluate,
     generate,
@@ -305,6 +307,25 @@ class TestOrderAccuracy:
             order_accuracy(s0, maps, c=0.95)
         with pytest.raises(ValueError):
             order_accuracy(s0, maps, c=0.0)
+
+    def test_gt_confidence_lost_in_float32_raises_like_encode(self):
+        # in float32, 1e-8 - 1 is -1.0: a level-1 pixel would decode as absent
+        scene = generate(GenConfig(seed=3))
+        maps = list(encode_scene(scene).items())
+        with pytest.raises(ConfidencePrecisionError) as encoded:
+            encode_scene(scene, 1e-8)
+        assert (encoded.value.pixel, encoded.value.level) == ((39, 17), 1)
+        images = [scene_annotations(scene)]
+        calls = (
+            lambda: order_accuracy(scene, maps, 1e-9, gt_confidence=1e-8),
+            lambda: evaluate(images, images, order_items=[(scene, maps)], c=1e-9,
+                             gt_confidence=1e-8),
+        )
+        for call in calls:
+            with pytest.raises(ConfidencePrecisionError) as raised:
+                call()
+            assert (raised.value.pixel, raised.value.level) == ((39, 17), 1)
+            assert str(raised.value) == str(encoded.value)
 
 
 class TestAssignMaps:

@@ -16,7 +16,9 @@ from semdist import (
     SemDistMap,
     UnknownInstanceError,
     amodal_mask_of,
+    decode_modal,
     overlap_region,
+    semdist_to_bytes,
     validate_scene,
     visible_mask_of,
 )
@@ -224,6 +226,21 @@ class TestSemDistMap:
         b = SemDistMap(np.full((2, 2), 0.25, dtype=np.float32))
         c = SemDistMap(np.full((2, 2), 0.75, dtype=np.float32))
         assert a == b and a != c
+
+    def test_signed_zeros_compare_unequal(self):
+        negative = SemDistMap(np.array([[-0.0, 0.5]], dtype=np.float32))
+        positive = SemDistMap(np.array([[0.0, 0.5]], dtype=np.float32))
+        # the two differ in their support box, their file bytes and their modal bits
+        assert negative._support_box != positive._support_box
+        assert semdist_to_bytes(negative) != semdist_to_bytes(positive)
+        bits = [decode_modal(m).view(np.uint32) for m in (negative, positive)]
+        assert not np.array_equal(*bits)
+        assert negative != positive and not negative == positive
+        assert negative == SemDistMap(np.array([[-0.0, 0.5]], dtype=np.float32))
+        assert positive == SemDistMap(np.array([[0.0, 0.5]], dtype=np.float32))
+        layering = LayeringMap(np.array([[[-0.0, 1.0]]], dtype=np.float32))
+        assert layering != LayeringMap(np.array([[[0.0, 1.0]]], dtype=np.float32))
+        assert layering == LayeringMap(np.array([[[-0.0, 1.0]]], dtype=np.float32))
 
 
 class TestLayeringMap:
