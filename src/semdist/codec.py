@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from itertools import combinations
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy import ndimage
@@ -324,8 +325,6 @@ def _check_threshold(c: float) -> None:
         raise ValueError(f"confidence threshold must lie strictly inside (0, 1), got {c}")
 
 
-_Window = tuple[slice, slice]
-
 _Operand = tuple[Optional[_Box], Optional[np.ndarray], tuple[int, int]]
 """One side of a pair: a support box (None when every value is +0.0), an
 array holding the values on that box, and the frame pixel (y, x) at that
@@ -333,25 +332,14 @@ array's [0, 0]: (0, 0) for the full frame of a SemDistMap, the box's corner
 for an array of the box alone."""
 
 
-def _operand(semdist: SemDistMap) -> _Operand:
-    return semdist._support_box, semdist.values, (0, 0)
+_Pair = tuple[tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray]
 
 
-def _encoded_on_box(
-    scene: LayerStackScene, instance_id: int, confidence: Union[np.ndarray, np.float32]
-) -> _Operand:
-    """The values encode_semdist gives the instance, on its support box alone."""
-    box, levels = _instance_levels(scene, instance_id)
-    if box is None:
-        return None, None, (0, 0)
-    return box, _semdist_on_box(box, levels, confidence), (box[0], box[2])
-
-
-def _common_window(
-    a: _Operand, b: _Operand
-) -> Optional[tuple[_Window, np.ndarray, np.ndarray]]:
-    """Intersection of the two support boxes as a frame window, with the
-    values of a and of b on it; None when the boxes are disjoint.
+def _pair(a: _Operand, b: _Operand, c: float) -> Optional[_Pair]:
+    """The pair step: the intersection of the two support boxes as a frame
+    window, the values of a and of b on it, and their joint overlap there,
+    frac_a * frac_b > c^2 with a float32 product and a float64 threshold.
+    None when the boxes are disjoint.
 
     Outside its box a map holds only +0.0, whose fractional part is 0, so no
     pixel of a pair's overlap lies outside the window.
@@ -363,31 +351,18 @@ def _common_window(
     y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
     if y0 >= y1 or x0 >= x1:
         return None
-    return (
-        (slice(y0, y1), slice(x0, x1)),
-        values_a[y0 - ya:y1 - ya, x0 - xa:x1 - xa],
-        values_b[y0 - yb:y1 - yb, x0 - xb:x1 - xb],
-    )
+    va = values_a[y0 - ya:y1 - ya, x0 - xa:x1 - xa]
+    vb = values_b[y0 - yb:y1 - yb, x0 - xb:x1 - xb]
+    joint = (va - np.floor(va)) * (vb - np.floor(vb))
+    return (slice(y0, y1), slice(x0, x1)), va, vb, joint > np.float64(c) * np.float64(c)
 
 
-def _joint_overlap(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
-    """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
-    joint = (a - np.floor(a)) * (b - np.floor(b))
-    return joint > np.float64(c) * np.float64(c)
-
-
-def _pair_overlap(
-    map_a: SemDistMap, map_b: SemDistMap, c: float
-) -> Optional[tuple[_Window, np.ndarray]]:
-    """Intersection of the two maps' support boxes and, on that window only,
-    their joint overlap. None when the boxes are disjoint."""
+def _map_pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
+    """_pair of two maps, after checking that they share a frame and that c is valid."""
     map_a.require_same_shape(map_b)
     _check_threshold(c)
-    common = _common_window(_operand(map_a), _operand(map_b))
-    if common is None:
-        return None
-    window, a, b = common
-    return window, _joint_overlap(a, b, c)
+    return _pair((map_a._support_box, map_a.values, (0, 0)),
+                 (map_b._support_box, map_b.values, (0, 0)), c)
 
 
 def _votes(a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -402,10 +377,9 @@ def overlap_region(
 ) -> BinaryMask:
     """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
     bits = np.zeros(map_a.values.shape, dtype=bool)
-    pair = _pair_overlap(map_a, map_b, c)
+    pair = _map_pair(map_a, map_b, c)
     if pair is not None:
-        window, omega = pair
-        bits[window] = omega
+        bits[pair[0]] = pair[3]
     return BinaryMask(bits)
 
 
@@ -429,10 +403,10 @@ def relative_order(
     """Per-pixel difference of integer parts, floor(A) - floor(B), inside the
     joint overlap region; 0 outside."""
     votes = np.zeros(map_a.values.shape, dtype=np.int32)
-    pair = _pair_overlap(map_a, map_b, c)
+    pair = _map_pair(map_a, map_b, c)
     if pair is not None:
-        window, omega = pair
-        votes[window] = _votes(map_a.values[window], map_b.values[window], omega)
+        window, a, b, omega = pair
+        votes[window] = _votes(a, b, omega)
     return RelativeOrderMap(votes)
 
 
@@ -479,20 +453,14 @@ def order_regions(
     intersection of the two maps' support boxes, so a pair whose boxes are
     disjoint returns DISJOINT without reading its pixels.
     """
-    map_a.require_same_shape(map_b)
-    _check_threshold(c)
-    return _order_regions(_operand(map_a), _operand(map_b), c)
+    return _regions(_map_pair(map_a, map_b, c))
 
 
-def _order_regions(a: _Operand, b: _Operand, c: float) -> OrderRegions:
-    """order_regions of two operands of one frame, for a c already checked."""
-    common = _common_window(a, b)
-    if common is None:
+def _regions(pair: Optional[_Pair]) -> OrderRegions:
+    """The verdict and region areas of one pair step's result."""
+    if pair is None or not pair[3].any():
         return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
-    _, values_a, values_b = common
-    omega = _joint_overlap(values_a, values_b, c)
-    if not omega.any():
-        return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
+    _, values_a, values_b, omega = pair
     # components of masks that are empty outside the window are the same on the window
     votes = _votes(values_a, values_b, omega)
     front = _largest_component(votes > 0)
@@ -511,6 +479,26 @@ def object_order(
 ) -> OrderVerdict:
     """Object-level depth verdict: sign of the largest same-sign vote region."""
     return order_regions(map_a, map_b, c).verdict
+
+
+def _gt_order(
+    scene: LayerStackScene, c: float, gt_confidence: float
+) -> Iterator[tuple[int, int, OrderVerdict]]:
+    """(id_a, id_b, verdict) for each pair of instances, ids ascending, whose
+    amodal masks meet. Each instance's values are taken on its support box
+    alone, as encode_scene(scene, gt_confidence) would write them there, and
+    raise as it would."""
+    confidence = _confidence(gt_confidence, scene.height, scene.width)
+    gt: dict[int, _Operand] = {}
+    for instance_id in scene.ids():
+        box, levels = _instance_levels(scene, instance_id)
+        gt[instance_id] = (None, None, (0, 0)) if box is None else (
+            box, _semdist_on_box(box, levels, confidence), (box[0], box[2]))
+    for id_a, id_b in combinations(sorted(gt), 2):
+        pair = _pair(gt[id_a], gt[id_b], c)
+        # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
+        if pair is not None and ((pair[1] != 0.0) & (pair[2] != 0.0)).any():
+            yield id_a, id_b, _regions(pair).verdict
 
 
 def global_layering_target(scene: LayerStackScene, layer_count: int) -> LayeringMap:

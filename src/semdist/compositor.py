@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .codec import DEFAULT_THRESHOLD
-from .codec import _pair_overlap, _require_exact
+from .codec import _map_pair, _require_exact
 from .types import (
     BinaryMask,
     InstanceAnnotation,
@@ -104,7 +104,7 @@ class PerturbConfig:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.score_noise < 0.0:
+        if not (self.score_noise >= 0.0):  # NaN fails this too
             raise ValueError(f"score_noise must be non-negative, got {self.score_noise}")
 
 
@@ -326,12 +326,12 @@ def perturb_semdist(
     entries = sorted(maps, key=lambda item: item[0])
     swapped: dict[int, np.ndarray] = {}  # entry position -> copy, made on its first swap
     for (i, (_, map_a)), (j, (_, map_b)) in combinations(enumerate(entries), 2):
-        pair = _pair_overlap(map_a, map_b, c)
-        if pair is None or not pair[1].any():
+        pair = _map_pair(map_a, map_b, c)
+        if pair is None or not pair[3].any():
             continue
         if rng.uniform() >= config.level_flip_prob:
             continue
-        window, omega = pair
+        window, _, _, omega = pair
         for k, semdist in ((i, map_a), (j, map_b)):
             if k not in swapped:
                 swapped[k] = np.array(semdist.values)

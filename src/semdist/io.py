@@ -144,16 +144,25 @@ def rle_encode(mask: BinaryMask) -> RleMask:
 
 
 def rle_decode(rle: RleMask) -> BinaryMask:
-    """Decode back to a mask; the counts must sum to width * height."""
+    """Decode back to a mask; the counts must sum to width * height, and a
+    mask that no array can index or memory can hold raises RleError."""
     total = sum(rle.counts)
-    if total != rle.width * rle.height:
+    area = rle.width * rle.height
+    if total != area:
         raise RleError(
-            f"run counts sum to {total}, expected {rle.width * rle.height} "
-            f"for a {rle.width}x{rle.height} mask"
+            f"run counts sum to {total}, expected {area} for a {rle.width}x{rle.height} mask"
+        )
+    # on Python ints, before numpy sees a count: np.repeat can crash past intp
+    if area > np.iinfo(np.intp).max:
+        raise RleError(
+            f"a {rle.width}x{rle.height} mask has more pixels than an array can index"
         )
     values = np.zeros(len(rle.counts), dtype=bool)
     values[1::2] = True
-    flat = np.repeat(values, np.array(rle.counts, dtype=np.int64))
+    try:
+        flat = np.repeat(values, np.array(rle.counts, dtype=np.int64))
+    except (MemoryError, ValueError) as exc:
+        raise RleError(f"a {rle.width}x{rle.height} mask does not fit in memory") from exc
     return BinaryMask(flat.reshape((rle.height, rle.width), order="F"))
 
 
@@ -183,7 +192,11 @@ def _require_int(value, path: str, minimum: Optional[int] = None) -> int:
 def _require_real(value, path: str, lo: float, hi: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        message = f"expected a number in [{lo}, {hi}], got an integer beyond the float range"
+        raise SchemaError(path, message) from None
     if not (lo <= value <= hi):
         raise SchemaError(path, f"expected a number in [{lo}, {hi}], got {value}")
     return value
@@ -610,7 +623,10 @@ def _read_netpbm(path: PathLike, magic: bytes, planes: int) -> np.ndarray:
     )
     if matched is None:
         raise ImageFormatError(f"malformed {magic.decode()} header")
-    width, height, maxval = (int(g) for g in matched.groups())
+    try:
+        width, height, maxval = (int(g) for g in matched.groups())
+    except ValueError:  # more digits than int() parses
+        raise ImageFormatError(f"{magic.decode()} header number has too many digits") from None
     if maxval != 255:
         raise ImageFormatError(f"unsupported max value {maxval}, expected 255")
     payload = data[matched.end():]
@@ -697,17 +713,34 @@ def _warn_unknown_keys(obj: dict, known: Sequence[str], path: str, warnings: _Wa
     warnings.extend((f"{path}.{key}", "unknown field") for key in obj if key not in known)
 
 
+_COORDINATE_LIMIT = float(np.finfo(np.float64).max) / 2
+"""Largest polygon coordinate magnitude: the difference of two stays finite."""
+
+
+def _in_coordinate_range(value) -> bool:
+    """False for NaN, the infinities and numbers beyond _COORDINATE_LIMIT."""
+    try:
+        return abs(float(value)) <= _COORDINATE_LIMIT
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _decode_region_mask(
-    raw, path: str, width: int, height: int, warnings: _Warnings
+    raw, path: str, image: tuple[str, int, int], warnings: _Warnings
 ) -> Optional[BinaryMask]:
-    """Polygon list or uncompressed RLE dict -> mask; None (plus a warning)
-    when the geometry is unsupported."""
+    """Polygon list or uncompressed RLE dict -> mask on image = (json path,
+    width, height); None (plus a warning) when the geometry is unsupported."""
+    image_path, width, height = image
     if isinstance(raw, list):
         if raw and isinstance(raw[0], list):
             rings = raw
         else:
             rings = [raw]
-        combined = np.zeros((height, width), dtype=bool)
+        try:
+            combined = np.zeros((height, width), dtype=bool)
+        except (MemoryError, ValueError) as exc:
+            message = f"a {width}x{height} image does not fit in memory"
+            raise CocoaImportError(image_path, message) from exc
         for ring in rings:
             if (
                 not isinstance(ring, list)
@@ -716,6 +749,11 @@ def _decode_region_mask(
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in ring)
             ):
                 warnings.append((path, "polygon ring is not an even list of 6 or more numbers"))
+                return None
+            if not all(map(_in_coordinate_range, ring)):
+                warnings.append(
+                    (path, "polygon ring has a coordinate that is not finite or too large")
+                )
                 return None
             combined ^= rasterize_polygon(ring, width, height).bits
         return BinaryMask(combined)
@@ -744,10 +782,10 @@ def _parse_depth_constraint(raw, path: str, warnings: _Warnings) -> tuple[tuple[
         if not token:
             continue
         matched = re.fullmatch(r"(\d+)-(\d+)", token)
-        if matched is None:
+        try:
+            pairs.append((int(matched.group(1)), int(matched.group(2))))
+        except (AttributeError, ValueError):  # no match, or more digits than int() parses
             warnings.append((path, f"depth pair {token!r} is not FRONT-BEHIND"))
-            continue
-        pairs.append((int(matched.group(1)), int(matched.group(2))))
     return tuple(pairs)
 
 
@@ -769,7 +807,7 @@ def import_cocoa(document) -> CocoaImport:
     images_raw = root.get("images")
     if not isinstance(images_raw, list):
         raise CocoaImportError("$.images", "missing or not an array")
-    image_meta: dict[int, tuple[Optional[str], int, int]] = {}
+    image_meta: dict[int, tuple[str, Optional[str], int, int]] = {}  # id -> path, name, size
     for idx, item in enumerate(images_raw):
         path = f"$.images[{idx}]"
         if not isinstance(item, dict):
@@ -786,7 +824,7 @@ def import_cocoa(document) -> CocoaImport:
             raise CocoaImportError(f"{path}.file_name", "expected a string")
         if item["width"] < 1 or item["height"] < 1:
             raise CocoaImportError(path, "image dimensions must be positive")
-        image_meta[image_id] = (file_name, item["width"], item["height"])
+        image_meta[image_id] = (path, file_name, item["width"], item["height"])
 
     annotations_raw = root.get("annotations", [])
     if not isinstance(annotations_raw, list):
@@ -808,7 +846,8 @@ def import_cocoa(document) -> CocoaImport:
             raise CocoaImportError(f"{path}.image_id", f"unknown image id {image_id}")
         if image_id in per_image:
             raise CocoaImportError(f"{path}.image_id", f"image {image_id} annotated twice")
-        _, width, height = image_meta[image_id]
+        image_path, _, width, height = image_meta[image_id]
+        image = (image_path, width, height)
 
         regions_raw = entry.get("regions")
         if not isinstance(regions_raw, list):
@@ -823,7 +862,7 @@ def import_cocoa(document) -> CocoaImport:
                 warnings.append((r_path, "region has no segmentation"))
                 continue
             amodal = _decode_region_mask(
-                region["segmentation"], f"{r_path}.segmentation", width, height, warnings
+                region["segmentation"], f"{r_path}.segmentation", image, warnings
             )
             if amodal is None or amodal.area() == 0:
                 if amodal is not None:
@@ -832,11 +871,11 @@ def import_cocoa(document) -> CocoaImport:
             visible: Optional[BinaryMask] = None
             if region.get("visible_mask") is not None:
                 visible = _decode_region_mask(
-                    region["visible_mask"], f"{r_path}.visible_mask", width, height, warnings
+                    region["visible_mask"], f"{r_path}.visible_mask", image, warnings
                 )
             if visible is None and region.get("invisible_mask") is not None:
                 invisible = _decode_region_mask(
-                    region["invisible_mask"], f"{r_path}.invisible_mask", width, height, warnings
+                    region["invisible_mask"], f"{r_path}.invisible_mask", image, warnings
                 )
                 if invisible is not None:
                     visible = BinaryMask(amodal.bits & ~invisible.bits)
@@ -861,7 +900,7 @@ def import_cocoa(document) -> CocoaImport:
         per_image[image_id] = (tuple(annotations), pairs)
 
     images = tuple(
-        CocoaImage(image_id, *meta, *per_image.get(image_id, ((), ())))
+        CocoaImage(image_id, *meta[1:], *per_image.get(image_id, ((), ())))
         for image_id, meta in image_meta.items()
     )
     return CocoaImport(images=images, warnings=tuple(warnings))

@@ -8,7 +8,7 @@ thresholds are built from integers so boundary cases like an IoU of exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ from .codec import (
     OrderVerdict,
     object_order,
 )
-from .codec import _common_window, _confidence, _encoded_on_box, _order_regions
+from .codec import _gt_order
 from .types import (
     BinaryMask,
     DimensionMismatchError,
@@ -327,26 +327,13 @@ def _order_counts(
     c: float,
     gt_confidence: float,
 ) -> tuple[int, int, int]:
-    """(correct, evaluated, skipped ambiguous gt) over overlapping gt pairs.
-
-    The gt order is read from each instance's values on its support box, the
-    values encode_scene would write there, without building gt maps.
-    """
+    """(correct, evaluated, skipped ambiguous gt) over the gt pairs whose
+    amodal masks meet."""
     by_id = dict(pred_maps)
-    ids = sorted(scene_gt.ids())
-    confidence = _confidence(gt_confidence, scene_gt.height, scene_gt.width)
-    gt = {instance_id: _encoded_on_box(scene_gt, instance_id, confidence)
-          for instance_id in scene_gt.ids()}
-
     correct = 0
     evaluated = 0
     skipped = 0
-    for id_a, id_b in combinations(ids, 2):
-        common = _common_window(gt[id_a], gt[id_b])
-        # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
-        if common is None or not ((common[1] != 0.0) & (common[2] != 0.0)).any():
-            continue
-        gt_verdict = _order_regions(gt[id_a], gt[id_b], c).verdict
+    for id_a, id_b, gt_verdict in _gt_order(scene_gt, c, gt_confidence):
         if gt_verdict in (OrderVerdict.AMBIGUOUS, OrderVerdict.DISJOINT):
             skipped += 1  # no defined gt order for this pair
             continue

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semdist
 from semdist import (
     GenConfig,
     LayerStackScene,
@@ -162,6 +167,14 @@ def test_perturb_accepts_annotation_documents(tmp_path, scene_file):
     assert read_annotations(second) == read_annotations(first)
 
 
+def test_perturb_nan_score_noise_exits_one(tmp_path, scene_file, capsys):
+    out = tmp_path / "pred.json"
+    code = main(["perturb", "--gt", str(scene_file), "--score-noise", "nan", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: score_noise must be non-negative, got nan\n"
+    assert not out.exists()
+
+
 def test_render_writes_ppm(tmp_path, scene_file):
     out = tmp_path / "scene.ppm"
     assert main(["render", "--scene", str(scene_file), "--out", str(out)]) == 0
@@ -251,6 +264,30 @@ def test_eval_missing_prediction_file_fails(tmp_path, capsys):
     main(["generate", "--seed", "4", "--count", "2", "--out", str(gt)])
     main(["generate", "--seed", "4", "--count", "1", "--out", str(pred)])
     assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
+
+
+def test_eval_score_past_float_range_exits_one(tmp_path, capsys):
+    doc = {"width": 1, "height": 1, "annotations": [
+        {"id": 1, "score": 10**400, "occlusion_rate": 0.0, "amodal": [0, 1], "visible": [0, 1]}]}
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--gt", str(path), "--pred", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: $.annotations[0].score: ")
+
+
+def test_eval_mask_past_intp_exits_one(tmp_path):
+    # counts that wrap in int64 once crashed the interpreter, so run in a child process
+    counts = [2**62] * 4
+    doc = {"width": 2**32, "height": 2**32, "annotations": [
+        {"id": 1, "score": 1.0, "occlusion_rate": 0.0, "amodal": counts, "visible": counts}]}
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    script = "import sys; from semdist.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(semdist.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, "eval", "--gt", str(path), "--pred", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: $.annotations[0].amodal: ")
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):

@@ -196,6 +196,7 @@ class TestPerturb:
             {"drop_occluded_prob": 1.5},
             {"level_flip_prob": -0.1},
             {"score_noise": -1.0},
+            {"score_noise": float("nan")},
         ],
     )
     def test_config_validation(self, kwargs):

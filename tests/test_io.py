@@ -95,6 +95,11 @@ class TestRle:
         with pytest.raises(RleError):
             RleMask(0, 3, (0,))
 
+    def test_area_past_intp_raises_before_numpy(self):
+        # counts that sum to the area but do not fit int64; numpy never sees them
+        with pytest.raises(RleError, match="more pixels than an array can index"):
+            rle_decode(RleMask(10**10, 10**10, (0, 10**20)))
+
 
 class TestSceneJson:
     def test_sparse_round_trip(self, s0):
@@ -567,6 +572,22 @@ class TestAnnotationsJson:
         with pytest.raises(SchemaError):
             annotations_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["score", "occlusion_rate"])
+    def test_number_past_float_range_is_a_schema_error(self, s0, field):
+        doc = annotations_to_dict(3, 3, scene_annotations(s0))
+        doc["annotations"][0][field] = 10**400
+        with pytest.raises(SchemaError) as err:
+            annotations_from_dict(doc)
+        assert err.value.path == f"$.annotations[0].{field}"
+
+    def test_mask_past_intp_is_a_schema_error(self):
+        doc = {"width": 10**10, "height": 10**10, "annotations": [
+            {"id": 1, "score": 1.0, "occlusion_rate": 0.0,
+             "amodal": [0, 10**20], "visible": [0, 10**20]}]}
+        with pytest.raises(SchemaError) as err:
+            annotations_from_dict(doc)
+        assert err.value.path == "$.annotations[0].amodal"
+
 
 class TestJsonFileErrors:
     @pytest.mark.parametrize("reader", [read_scene, read_annotations])
@@ -692,6 +713,13 @@ class TestNetpbm:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
         with pytest.raises(ImageFormatError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("reader, magic", [(read_pgm, b"P5"), (read_ppm, b"P6")])
+    def test_read_rejects_header_number_past_digit_limit(self, tmp_path, reader, magic):
+        path = tmp_path / "huge.img"
+        path.write_bytes(magic + b"\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
+        with pytest.raises(ImageFormatError, match="too many digits"):
+            reader(path)
 
 
 class TestRasterizePolygon:
@@ -859,6 +887,50 @@ class TestCocoaImport:
             "$.annotations[0].regions[0].segmentation"
         ]
         assert [ann.id for ann in result.images[0].annotations] == [2]
+
+    @pytest.mark.parametrize(
+        "ring",
+        [[0, 0, 6, 0, 6, 6, 0, 10**400],
+         [0, 0, 6, 0, 6, 6, 0, float("inf")],
+         [0, 0, 6, 0, 6, 6, 0, float("nan")],
+         [0, -1e308, 6, -1e308, 6, 1e308, 0, 1e308]],
+        ids=["past_float_range", "infinity", "nan", "edge_difference_overflows"],
+    )
+    def test_polygon_with_unusable_coordinate_is_skipped_with_warning(self, ring):
+        doc = self._document()
+        doc["annotations"][0]["regions"][0]["segmentation"] = ring
+        result = import_cocoa(doc)
+        assert result.warnings == ((
+            "$.annotations[0].regions[0].segmentation",
+            "polygon ring has a coordinate that is not finite or too large",
+        ),)
+        assert [ann.id for ann in result.images[0].annotations] == [2]
+
+    def test_image_too_large_to_hold_fails_at_its_path(self):
+        doc = self._document()
+        doc["images"][0].update(width=10**12, height=10**12)
+        with pytest.raises(CocoaImportError) as err:
+            import_cocoa(doc)
+        assert err.value.path == "$.images[0]"
+
+    def test_rle_mask_past_intp_is_skipped_with_warning(self):
+        doc = self._document()
+        doc["images"][1].update(width=10**10, height=10**10)
+        doc["annotations"].append({"image_id": 11, "regions": [
+            {"segmentation": {"size": [10**10, 10**10], "counts": [0, 10**20]}}]})
+        result = import_cocoa(doc)
+        (path, reason), = result.warnings
+        assert path == "$.annotations[1].regions[0].segmentation"
+        assert "more pixels than an array can index" in reason
+        assert result.images[1].annotations == ()
+
+    def test_depth_token_past_digit_limit_is_warned_and_skipped(self):
+        doc = self._document()
+        doc["annotations"][0]["depth_constraint"] = "1-2," + "9" * 5000 + "-1"
+        result = import_cocoa(doc)
+        (path, reason), = result.warnings
+        assert path == "$.annotations[0].depth_constraint" and "FRONT-BEHIND" in reason
+        assert result.images[0].order_pairs == ((1, 2),)
 
     def test_multi_ring_polygon_even_odd(self):
         doc = self._document()
