@@ -26,7 +26,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _Box, _FrozenGrid, _box_of, _window
+from .types import _Box, _FrozenGrid, _box_of, _instance_hits, _local, _window
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -177,14 +177,12 @@ def _instance_levels(
     scene: LayerStackScene, instance_id: int
 ) -> tuple[Optional[_Box], Optional[np.ndarray]]:
     """Support box of the instance and its levels on that box (LEVEL_ABSENT
-    where it is missing), both from one compare of the stacks; (None, None)
-    when no pixel holds the instance."""
-    scene.record_of(instance_id)
-    hits = scene.stacks == instance_id
-    box = _box_of(np.logical_or.reduce(hits, axis=0))
+    where it is missing), from one compare of the stacks; (None, None) when
+    no pixel holds the instance."""
+    box, hits, hits_box = _instance_hits(scene, instance_id)
     if box is None:
         return None, None
-    local = hits[(slice(None), *_window(box))]
+    local = hits[(slice(None), *_local(_window(box), hits_box))]
     levels = np.full(local.shape[1:], LEVEL_ABSENT, dtype=np.int32)
     # back to front, so the front-most level wins
     for depth in reversed(range(local.shape[0])):
@@ -246,12 +244,10 @@ def _semdist_from_levels(
 
     levels covers box, the box of the set levels (None: none is set), and
     confidence is a float32 scalar or a grid of the given shape. Only the
-    box is computed and checked; the frame around it is +0.0.
+    box is computed and checked, and the map holds nothing else.
     """
-    values = np.zeros(shape, dtype=np.float32)
-    if box is not None:
-        values[_window(box)] = _semdist_on_box(box, levels, confidence)
-    return SemDistMap._built(values, box)
+    crop = None if box is None else _semdist_on_box(box, levels, confidence)
+    return SemDistMap._from_crop(shape, box, crop)
 
 
 def _semdist_on_box(
@@ -274,15 +270,13 @@ def _semdist_on_box(
 
 
 def _decode_on_box(semdist: SemDistMap, decode, background: np.generic) -> np.ndarray:
-    """Full frame holding decode(values) on the map's support box and
+    """Full frame holding decode(crop) on the map's support box and
     background elsewhere. Outside the box every value is +0.0, which each
     decoder maps to its background."""
-    shape = semdist.values.shape
+    shape = semdist._shape
     frame = np.full(shape, background) if background else np.zeros(shape, background.dtype)
-    box = semdist._support_box
-    if box is not None:
-        window = _window(box)
-        frame[window] = decode(semdist.values[window])
+    if semdist._support_box is not None:
+        frame[_window(semdist._support_box)] = decode(semdist._crop)
     return frame
 
 
@@ -325,11 +319,9 @@ def _check_threshold(c: float) -> None:
         raise ValueError(f"confidence threshold must lie strictly inside (0, 1), got {c}")
 
 
-_Operand = tuple[Optional[_Box], Optional[np.ndarray], tuple[int, int]]
-"""One side of a pair: a support box (None when every value is +0.0), an
-array holding the values on that box, and the frame pixel (y, x) at that
-array's [0, 0]: (0, 0) for the full frame of a SemDistMap, the box's corner
-for an array of the box alone."""
+_Operand = tuple[Optional[_Box], Optional[np.ndarray]]
+"""One side of a pair: a support box (None when every value is +0.0) and the
+values on that box alone."""
 
 
 _Pair = tuple[tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray]
@@ -344,25 +336,24 @@ def _pair(a: _Operand, b: _Operand, c: float) -> Optional[_Pair]:
     Outside its box a map holds only +0.0, whose fractional part is 0, so no
     pixel of a pair's overlap lies outside the window.
     """
-    (box_a, values_a, (ya, xa)), (box_b, values_b, (yb, xb)) = a, b
+    (box_a, values_a), (box_b, values_b) = a, b
     if box_a is None or box_b is None:
         return None
     y0, x0 = max(box_a[0], box_b[0]), max(box_a[2], box_b[2])
     y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
     if y0 >= y1 or x0 >= x1:
         return None
-    va = values_a[y0 - ya:y1 - ya, x0 - xa:x1 - xa]
-    vb = values_b[y0 - yb:y1 - yb, x0 - xb:x1 - xb]
+    window = slice(y0, y1), slice(x0, x1)
+    va, vb = values_a[_local(window, box_a)], values_b[_local(window, box_b)]
     joint = (va - np.floor(va)) * (vb - np.floor(vb))
-    return (slice(y0, y1), slice(x0, x1)), va, vb, joint > np.float64(c) * np.float64(c)
+    return window, va, vb, joint > np.float64(c) * np.float64(c)
 
 
 def _map_pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
     """_pair of two maps, after checking that they share a frame and that c is valid."""
     map_a.require_same_shape(map_b)
     _check_threshold(c)
-    return _pair((map_a._support_box, map_a.values, (0, 0)),
-                 (map_b._support_box, map_b.values, (0, 0)), c)
+    return _pair((map_a._support_box, map_a._crop), (map_b._support_box, map_b._crop), c)
 
 
 def _votes(a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -376,7 +367,7 @@ def overlap_region(
     map_a: SemDistMap, map_b: SemDistMap, c: float = DEFAULT_THRESHOLD
 ) -> BinaryMask:
     """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
-    bits = np.zeros(map_a.values.shape, dtype=bool)
+    bits = np.zeros(map_a._shape, dtype=bool)
     pair = _map_pair(map_a, map_b, c)
     if pair is not None:
         bits[pair[0]] = pair[3]
@@ -402,7 +393,7 @@ def relative_order(
 ) -> RelativeOrderMap:
     """Per-pixel difference of integer parts, floor(A) - floor(B), inside the
     joint overlap region; 0 outside."""
-    votes = np.zeros(map_a.values.shape, dtype=np.int32)
+    votes = np.zeros(map_a._shape, dtype=np.int32)
     pair = _map_pair(map_a, map_b, c)
     if pair is not None:
         window, a, b, omega = pair
@@ -492,8 +483,7 @@ def _gt_order(
     gt: dict[int, _Operand] = {}
     for instance_id in scene.ids():
         box, levels = _instance_levels(scene, instance_id)
-        gt[instance_id] = (None, None, (0, 0)) if box is None else (
-            box, _semdist_on_box(box, levels, confidence), (box[0], box[2]))
+        gt[instance_id] = box, None if box is None else _semdist_on_box(box, levels, confidence)
     for id_a, id_b in combinations(sorted(gt), 2):
         pair = _pair(gt[id_a], gt[id_b], c)
         # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask

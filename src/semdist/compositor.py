@@ -24,9 +24,8 @@ from .types import (
     LayerStackScene,
     SemDistError,
     SemDistMap,
-    amodal_mask_of,
-    visible_mask_of,
 )
+from .types import _instance_masks, _local
 
 __all__ = [
     "SHAPES",
@@ -236,11 +235,11 @@ def render(scene: LayerStackScene) -> np.ndarray:
 
 def occlusion_rate(scene: LayerStackScene, instance_id: int) -> float:
     """Fraction of the amodal mask hidden behind other objects."""
-    amodal_area = amodal_mask_of(scene, instance_id).area()
+    amodal, visible = _instance_masks(scene, instance_id)
+    amodal_area = amodal.area()
     if amodal_area == 0:
         raise ZeroAreaError(f"instance {instance_id} has an empty amodal mask")
-    visible_area = visible_mask_of(scene, instance_id).area()
-    return 1.0 - visible_area / amodal_area
+    return 1.0 - visible.area() / amodal_area
 
 
 def scene_annotations(scene: LayerStackScene) -> list[InstanceAnnotation]:
@@ -250,8 +249,7 @@ def scene_annotations(scene: LayerStackScene) -> list[InstanceAnnotation]:
         out.append(
             InstanceAnnotation.from_masks(
                 record.id,
-                amodal_mask_of(scene, record.id),
-                visible_mask_of(scene, record.id),
+                *_instance_masks(scene, record.id),
                 score=1.0,
                 category=record.category,
             )
@@ -324,7 +322,7 @@ def perturb_semdist(
     """
     rng = _rng(config.seed)
     entries = sorted(maps, key=lambda item: item[0])
-    swapped: dict[int, np.ndarray] = {}  # entry position -> copy, made on its first swap
+    swapped: dict[int, np.ndarray] = {}  # entry position -> crop copy, made on its first swap
     for (i, (_, map_a)), (j, (_, map_b)) in combinations(enumerate(entries), 2):
         pair = _map_pair(map_a, map_b, c)
         if pair is None or not pair[3].any():
@@ -334,8 +332,10 @@ def perturb_semdist(
         window, _, _, omega = pair
         for k, semdist in ((i, map_a), (j, map_b)):
             if k not in swapped:
-                swapped[k] = np.array(semdist.values)
-        va, vb = swapped[i][window], swapped[j][window]  # views: the swap writes through
+                swapped[k] = np.array(semdist._crop)
+        # views: the swap writes through
+        va = swapped[i][_local(window, map_a._support_box)]
+        vb = swapped[j][_local(window, map_b._support_box)]
         floor_a, floor_b = np.floor(va), np.floor(vb)
         frac_a, frac_b = va - floor_a, vb - floor_b
         va[omega] = (frac_a + floor_b)[omega]
@@ -345,6 +345,7 @@ def perturb_semdist(
         _require_exact(vb, floor_a, frac_b, omega, origin)
     # a swap keeps every omega pixel non-zero, so each map keeps its box
     return [
-        (mid, SemDistMap._built(swapped[k], semdist._support_box) if k in swapped else semdist)
+        (mid, SemDistMap._from_crop(semdist._shape, semdist._support_box, swapped[k])
+         if k in swapped else semdist)
         for k, (mid, semdist) in enumerate(entries)
     ]

@@ -771,6 +771,17 @@ def _decode_region_mask(
     raise CocoaImportError(path, f"expected a polygon array or RLE object, got {type(raw).__name__}")
 
 
+_QUOTE_LIMIT = 32  # characters of a malformed token that its warning quotes
+
+
+def _quote(token: str) -> str:
+    """repr of token, cut to its first _QUOTE_LIMIT characters and its length
+    when longer, so a warning stays short whatever the document holds."""
+    if len(token) <= _QUOTE_LIMIT:
+        return repr(token)
+    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
+
+
 def _parse_depth_constraint(raw, path: str, warnings: _Warnings) -> tuple[tuple[int, int], ...]:
     if raw is None:
         return ()
@@ -785,7 +796,7 @@ def _parse_depth_constraint(raw, path: str, warnings: _Warnings) -> tuple[tuple[
         try:
             pairs.append((int(matched.group(1)), int(matched.group(2))))
         except (AttributeError, ValueError):  # no match, or more digits than int() parses
-            warnings.append((path, f"depth pair {token!r} is not FRONT-BEHIND"))
+            warnings.append((path, f"depth pair {_quote(token)} is not FRONT-BEHIND"))
     return tuple(pairs)
 
 

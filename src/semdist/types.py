@@ -1,9 +1,13 @@
 """Core value types for layered occlusion scenes and their invariants.
 
 Everything here is an immutable value: numpy payloads are copied on
-construction (a map the library has just built keeps its fresh frame) and
-marked read-only, so instances are safe to share across threads and to use
-as fixture data.
+construction and marked read-only, so instances are safe to share across
+threads and to use as fixture data. Two private caches fill on first use
+and never change what a value means: a map the library has just built holds
+only its crop on its support box and builds its full frame on first access,
+and a scene keeps each instance's support box once a read has found it.
+Both are deterministic functions of the value, so threads that race to fill
+them fill in equal data.
 """
 
 from __future__ import annotations
@@ -49,22 +53,47 @@ class DimensionMismatchError(SemDistError):
     """Two grids that must share dimensions do not."""
 
 
+_Box = tuple[int, int, int, int]
+"""Half-open (y0, y1, x0, x1) bounds of a grid's support."""
+
+
+def _box_of(mask: np.ndarray) -> Optional[_Box]:
+    """Smallest box holding every True of a 2-D mask; None when there is none."""
+    rows = np.logical_or.reduce(mask, axis=1).nonzero()[0]
+    if rows.size == 0:
+        return None
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.logical_or.reduce(mask[y0:y1], axis=0).nonzero()[0]
+    return y0, y1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _window(box: _Box) -> tuple[slice, slice]:
+    return slice(box[0], box[1]), slice(box[2], box[3])
+
+
+def _local(window: tuple[slice, slice], box: _Box) -> tuple[slice, slice]:
+    """A frame window inside box, in the coordinates of an array of the box."""
+    ys, xs = window
+    return slice(ys.start - box[0], ys.stop - box[0]), slice(xs.start - box[2], xs.stop - box[2])
+
+
 class _FrozenGrid:
     """Read-only numpy grid held in one dataclass field.
 
     A subclass names its payload field and declares the dtype, rank and a
     noun for messages; _check adds its own value checks. The payload is
     copied to the dtype, must have the rank and no 0-length axis, and is
-    marked read-only. Grids compare equal only to grids of the same type
-    with the same shape and values; float32 values compare by bit pattern,
-    so -0.0 and +0.0 differ, as they do in a map's support box and file.
+    marked read-only; its shape is kept as _shape. Grids compare equal only
+    to grids of the same type with the same shape and values; float32
+    values compare by bit pattern, so -0.0 and +0.0 differ, as they do in a
+    map's support box and file.
     """
 
     _field: ClassVar[str] = "values"
     _dtype: ClassVar[type]
     _rank: ClassVar[int] = 2
     _noun: ClassVar[str]
-    _grid: np.ndarray  # the payload, under one name for the shared methods
+    _shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
         grid = np.array(getattr(self, self._field), dtype=self._dtype)
@@ -75,22 +104,33 @@ class _FrozenGrid:
         self._check(grid)
         grid.setflags(write=False)
         object.__setattr__(self, self._field, grid)
-        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_shape", grid.shape)
 
     @staticmethod
     def _check(grid: np.ndarray) -> None:
         """Raise ValueError on values the type does not allow."""
 
+    @classmethod
+    def _fresh(cls, grid: np.ndarray):
+        """Wrap a grid that no one else holds, of the type's dtype and rank
+        and with no 0-length axis, without copying it; it is checked and made
+        read-only as the constructor would."""
+        cls._check(grid)
+        grid.setflags(write=False)
+        wrapped = object.__new__(cls)
+        wrapped.__dict__.update({cls._field: grid, "_shape": grid.shape})
+        return wrapped
+
     @property
     def width(self) -> int:
-        return self._grid.shape[-1]
+        return self._shape[-1]
 
     @property
     def height(self) -> int:
-        return self._grid.shape[-2]
+        return self._shape[-2]
 
     def require_same_shape(self, other: "_FrozenGrid") -> None:
-        if self._grid.shape != other._grid.shape:
+        if self._shape != other._shape:
             raise DimensionMismatchError(
                 f"{self._noun} dimensions differ: {self.width}x{self.height} "
                 f"vs {other.width}x{other.height}"
@@ -99,7 +139,7 @@ class _FrozenGrid:
     def __eq__(self, other: object):
         if not isinstance(other, type(self)):
             return NotImplemented
-        mine, theirs = self._grid, other._grid
+        mine, theirs = getattr(self, self._field), getattr(other, other._field)
         if self._dtype is np.float32:  # by bits, so -0.0 != +0.0; values are finite
             mine, theirs = mine.view(np.uint32), theirs.view(np.uint32)
         return mine.shape == theirs.shape and bool(np.array_equal(mine, theirs))
@@ -154,6 +194,14 @@ class LayerStackScene:
     ``stacks`` has shape (depth, height, width); the front-most entry sits at
     depth index 0 and 0 marks an empty slot. Trailing all-empty depth planes
     are trimmed on construction so equal scenes hold equal arrays.
+
+    The scene also carries the support boxes of its instances in _boxes:
+    the smallest box around the pixels whose stack holds an id, or None when
+    no pixel does. from_layers knows every box from its masks. In any other
+    scene, the first read of an instance compares all of the stacks, as it
+    must to find the instance, and keeps the box it finds; every later read
+    compares the stacks on that box only. The boxes take no part in
+    equality. Threads that read one instance at once find the same box.
     """
 
     width: int
@@ -180,6 +228,7 @@ class LayerStackScene:
         stacks.setflags(write=False)
         object.__setattr__(self, "instances", instances)
         object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "_boxes", {})
 
     @classmethod
     def from_layers(
@@ -209,6 +258,7 @@ class LayerStackScene:
             if record.id > _INT32_MAX and mask.bits.any():
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
             records.append(record)
+        boxes = {record.id: _box_of(mask.bits) for record, mask in layers}
         cover = np.zeros((height, width), dtype=np.int32)
         for _, mask in layers:
             cover += mask.bits
@@ -221,7 +271,9 @@ class LayerStackScene:
                 continue
             stacks[fill[ys, xs], ys, xs] = record.id
             fill[ys, xs] += 1
-        return cls(width, height, tuple(records), stacks)
+        scene = cls(width, height, tuple(records), stacks)
+        scene._boxes.update(boxes)
+        return scene
 
     def ids(self) -> tuple[int, ...]:
         return tuple(record.id for record in self.instances)
@@ -358,36 +410,48 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
     return violations
 
 
+def _instance_hits(
+    scene: LayerStackScene, instance_id: int
+) -> tuple[Optional[_Box], Optional[np.ndarray], Optional[_Box]]:
+    """(box, hits, hits_box) for a listed instance: its support box, and the
+    (depth, rows, cols) grid of where the stacks hold it on hits_box, a
+    frame box around the support box. Only the read that finds the support
+    box compares all of the stacks, so its hits_box is the whole frame;
+    later reads compare the support box alone. box is None when no pixel
+    holds the instance, and then hits may be None too. Raises
+    UnknownInstanceError for an id the scene does not list."""
+    scene.record_of(instance_id)
+    if instance_id not in scene._boxes:
+        hits = scene.stacks == instance_id
+        box = scene._boxes[instance_id] = _box_of(np.logical_or.reduce(hits, axis=0))
+        return box, hits, (0, scene.height, 0, scene.width)
+    box = scene._boxes[instance_id]
+    if box is None:
+        return None, None, None
+    return box, scene.stacks[(slice(None), *_window(box))] == instance_id, box
+
+
+def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMask, BinaryMask]:
+    """Amodal and visible mask of one instance, from one compare of the
+    stacks."""
+    box, hits, hits_box = _instance_hits(scene, instance_id)
+    amodal = np.zeros((scene.height, scene.width), dtype=bool)
+    visible = np.zeros((scene.height, scene.width), dtype=bool)
+    if box is not None:
+        window = _window(hits_box)
+        amodal[window] = np.logical_or.reduce(hits, axis=0)
+        visible[window] = hits[0]
+    return BinaryMask._fresh(amodal), BinaryMask._fresh(visible)
+
+
 def amodal_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
     """Pixels whose stack contains the instance at any depth."""
-    scene.record_of(instance_id)
-    return BinaryMask((scene.stacks == instance_id).any(axis=0))
+    return _instance_masks(scene, instance_id)[0]
 
 
 def visible_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
     """Pixels where the instance is the front-most stack entry."""
-    scene.record_of(instance_id)
-    if scene.stacks.shape[0] == 0:
-        return BinaryMask.zeros(scene.width, scene.height)
-    return BinaryMask(scene.stacks[0] == instance_id)
-
-
-_Box = tuple[int, int, int, int]
-"""Half-open (y0, y1, x0, x1) bounds of a grid's support."""
-
-
-def _box_of(mask: np.ndarray) -> Optional[_Box]:
-    """Smallest box holding every True of a 2-D mask; None when there is none."""
-    rows = np.logical_or.reduce(mask, axis=1).nonzero()[0]
-    if rows.size == 0:
-        return None
-    y0, y1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.logical_or.reduce(mask[y0:y1], axis=0).nonzero()[0]
-    return y0, y1, int(cols[0]), int(cols[-1]) + 1
-
-
-def _window(box: _Box) -> tuple[slice, slice]:
-    return slice(box[0], box[1]), slice(box[2], box[3])
+    return _instance_masks(scene, instance_id)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,8 +467,16 @@ class SemDistMap(_FrozenGrid):
 
     The support box is the smallest box around the values whose bit pattern
     is not +0.0, so a -0.0 counts as inside; outside it every value is +0.0.
-    Per-map work (decoding, and pair work on the intersection of two boxes)
-    runs on the box only.
+    A map is its frame shape, its support box and the read-only crop of its
+    values on that box; per-map work (decoding, and pair work on the
+    intersection of two boxes) reads the crop only. values is a cache: a
+    map built from a full frame keeps that frame, finds its box on first
+    use and crops a view of the frame; a map the library builds holds the
+    box and crop alone, and builds values on first access as +0.0 with the
+    crop pasted in. The first frame stored is the one every later access
+    returns, so threads racing to build it all get one read-only array;
+    racing box finds compute equal boxes. Shape checks, equality (shape,
+    box and crop bits) and pickling never build a frame.
     """
 
     values: np.ndarray
@@ -419,27 +491,56 @@ class SemDistMap(_FrozenGrid):
         if not (values < 1.0).all():
             raise ValueError("map values must be strictly below 1")
 
-    @classmethod
-    def _built(cls, values: np.ndarray, box: Optional[_Box]) -> "SemDistMap":
-        """Wrap a freshly built float32 frame without copying it.
-
-        The frame must hold +0.0 outside box and box must be its support box;
-        only the box is checked, and the box is cached as given.
-        """
-        if box is not None:
-            cls._check(values[_window(box)])
-        values.setflags(write=False)
-        semdist = object.__new__(cls)
-        object.__setattr__(semdist, "values", values)
-        object.__setattr__(semdist, "_grid", values)
-        semdist.__dict__["_support_box"] = box
-        return semdist
-
     @cached_property
     def _support_box(self) -> Optional[_Box]:
-        """Support box, or None when every value is +0.0. Cached, which holds
-        because values is a read-only private array."""
+        """Support box, or None when every value is +0.0; found on first use
+        for a map built from a frame."""
         return _box_of(self.values.view(np.uint32) != 0)
+
+    @cached_property
+    def _crop(self) -> Optional[np.ndarray]:
+        """Read-only values on the support box, None without one; a view of
+        the frame for a map built from a frame."""
+        box = self._support_box
+        return None if box is None else self.values[_window(box)]
+
+    @classmethod
+    def _from_crop(
+        cls, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray]
+    ) -> "SemDistMap":
+        """Map on a frame of the given shape holding crop on box and +0.0
+        elsewhere, without copying crop. box must be the support box of that
+        frame (None with crop None: every value is +0.0); only the crop is
+        checked, and it is made read-only."""
+        if crop is not None:
+            cls._check(crop)
+            crop.setflags(write=False)
+        semdist = object.__new__(cls)
+        semdist.__dict__.update(_shape=tuple(shape), _support_box=box, _crop=crop)
+        return semdist
+
+    def __getattr__(self, name: str):
+        # reached only for names missing from the instance: values before its first build
+        if name != "values":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        frame = np.zeros(self._shape, dtype=np.float32)
+        if self._support_box is not None:
+            frame[_window(self._support_box)] = self._crop
+        frame.setflags(write=False)
+        return self.__dict__.setdefault("values", frame)
+
+    def __eq__(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if (self._shape, self._support_box) != (other._shape, other._support_box):
+            return False
+        # by bits, so -0.0 != +0.0; values are finite
+        return self._crop is None or bool(
+            np.array_equal(self._crop.view(np.uint32), other._crop.view(np.uint32))
+        )
+
+    def __reduce__(self):
+        return SemDistMap._from_crop, (self._shape, self._support_box, self._crop)
 
 
 @dataclass(frozen=True, eq=False)

@@ -932,6 +932,16 @@ class TestCocoaImport:
         assert path == "$.annotations[0].depth_constraint" and "FRONT-BEHIND" in reason
         assert result.images[0].order_pairs == ((1, 2),)
 
+    def test_depth_token_warning_quotes_a_bounded_prefix(self):
+        doc = self._document()
+        doc["annotations"][0]["depth_constraint"] = "1-2," + "9" * 5000 + "-1, 3-x"
+        result = import_cocoa(doc)
+        (path, long_reason), (_, short_reason) = result.warnings
+        assert path == "$.annotations[0].depth_constraint"
+        assert len(long_reason) < 200 and "FRONT-BEHIND" in long_reason
+        assert "'" + "9" * 32 + "'" in long_reason and "5002 characters" in long_reason
+        assert short_reason == "depth pair '3-x' is not FRONT-BEHIND"
+
     def test_multi_ring_polygon_even_odd(self):
         doc = self._document()
         doc["annotations"][0]["regions"] = [
