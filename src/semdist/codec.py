@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import ndimage
@@ -432,6 +432,14 @@ def _largest_component(mask: np.ndarray) -> int:
     return int(np.bincount(labels.ravel())[1:].max())
 
 
+def _verdict(front: int, behind: int) -> OrderVerdict:
+    """The verdict of the largest front and behind vote regions: the larger
+    wins, and an exact tie (0 against 0 too) is ambiguous."""
+    if front == behind:
+        return OrderVerdict.AMBIGUOUS
+    return OrderVerdict.A_IN_FRONT if front > behind else OrderVerdict.B_IN_FRONT
+
+
 def order_regions(
     map_a: SemDistMap, map_b: SemDistMap, c: float = DEFAULT_THRESHOLD
 ) -> OrderRegions:
@@ -447,48 +455,81 @@ def order_regions(
     return _regions(_map_pair(map_a, map_b, c))
 
 
-def _regions(pair: Optional[_Pair]) -> OrderRegions:
-    """The verdict and region areas of one pair step's result."""
+def _signs(pair: Optional[_Pair]) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(front votes, behind votes, overlap) masks of one pair step's result
+    on its window; None when the overlap is empty."""
     if pair is None or not pair[3].any():
-        return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
+        return None
     _, values_a, values_b, omega = pair
     # components of masks that are empty outside the window are the same on the window
     votes = _votes(values_a, values_b, omega)
-    front = _largest_component(votes > 0)
-    behind = _largest_component(votes < 0)
-    if front == behind:
-        verdict = OrderVerdict.AMBIGUOUS
-    elif front > behind:
-        verdict = OrderVerdict.A_IN_FRONT
-    else:
-        verdict = OrderVerdict.B_IN_FRONT
-    return OrderRegions(verdict, int(omega.sum()), front, behind)
+    return votes > 0, votes < 0, omega
+
+
+def _regions(pair: Optional[_Pair]) -> OrderRegions:
+    """The verdict and region areas of one pair step's result."""
+    signs = _signs(pair)
+    if signs is None:
+        return OrderRegions(OrderVerdict.DISJOINT, 0, 0, 0)
+    front_votes, behind_votes, omega = signs
+    front = _largest_component(front_votes)
+    behind = _largest_component(behind_votes)
+    return OrderRegions(_verdict(front, behind), int(omega.sum()), front, behind)
+
+
+def _pair_verdict(pair: Optional[_Pair]) -> OrderVerdict:
+    """The verdict of _regions(pair) alone. Regions are labelled only when
+    both vote signs are present: with one sign, any region of it beats the
+    empty other side, and with no signed vote the two sides tie at 0."""
+    signs = _signs(pair)
+    if signs is None:
+        return OrderVerdict.DISJOINT
+    front_votes, behind_votes, _ = signs
+    front, behind = bool(front_votes.any()), bool(behind_votes.any())
+    if front and behind:
+        return _verdict(_largest_component(front_votes), _largest_component(behind_votes))
+    return _verdict(front, behind)
 
 
 def object_order(
     map_a: SemDistMap, map_b: SemDistMap, c: float = DEFAULT_THRESHOLD
 ) -> OrderVerdict:
-    """Object-level depth verdict: sign of the largest same-sign vote region."""
-    return order_regions(map_a, map_b, c).verdict
+    """Object-level depth verdict: sign of the largest same-sign vote region,
+    as order_regions gives it. The vote regions are labelled only when both
+    signs are present."""
+    return _pair_verdict(_map_pair(map_a, map_b, c))
 
 
 def _gt_order(
     scene: LayerStackScene, c: float, gt_confidence: float
-) -> Iterator[tuple[int, int, OrderVerdict]]:
+) -> tuple[tuple[int, int, OrderVerdict], ...]:
     """(id_a, id_b, verdict) for each pair of instances, ids ascending, whose
     amodal masks meet. Each instance's values are taken on its support box
     alone, as encode_scene(scene, gt_confidence) would write them there, and
-    raise as it would."""
+    raise as it would.
+
+    The scene keeps the triples of the last (c, gt_confidence) it was asked
+    for, keyed by their float values, so scoring a scene again at the same
+    threshold walks nothing. A walk that raises stores nothing."""
+    key = float(c), float(gt_confidence)
+    cached = scene._gt_orders
+    if cached is not None and cached[0] == key:
+        return cached[1]
     confidence = _confidence(gt_confidence, scene.height, scene.width)
     gt: dict[int, _Operand] = {}
     for instance_id in scene.ids():
         box, levels = _instance_levels(scene, instance_id)
         gt[instance_id] = box, None if box is None else _semdist_on_box(box, levels, confidence)
+    order = []
     for id_a, id_b in combinations(sorted(gt), 2):
         pair = _pair(gt[id_a], gt[id_b], c)
         # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
         if pair is not None and ((pair[1] != 0.0) & (pair[2] != 0.0)).any():
-            yield id_a, id_b, _regions(pair).verdict
+            order.append((id_a, id_b, _pair_verdict(pair)))
+    order = tuple(order)
+    # one attribute store, so a racing thread sees the old entry or this one, never a mix
+    object.__setattr__(scene, "_gt_orders", (key, order))
+    return order
 
 
 def global_layering_target(scene: LayerStackScene, layer_count: int) -> LayeringMap:

@@ -39,6 +39,8 @@ from .types import (
 )
 from .types import _INT32_MAX
 
+_INTP_MAX = int(np.iinfo(np.intp).max)  # the most elements an array can index
+
 __all__ = [
     "SDM_MAGIC",
     "RleError",
@@ -153,7 +155,7 @@ def rle_decode(rle: RleMask) -> BinaryMask:
             f"run counts sum to {total}, expected {area} for a {rle.width}x{rle.height} mask"
         )
     # on Python ints, before numpy sees a count: np.repeat can crash past intp
-    if area > np.iinfo(np.intp).max:
+    if area > _INTP_MAX:
         raise RleError(
             f"a {rle.width}x{rle.height} mask has more pixels than an array can index"
         )

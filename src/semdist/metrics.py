@@ -327,8 +327,13 @@ def _order_counts(
     c: float,
     gt_confidence: float,
 ) -> tuple[int, int, int]:
-    """(correct, evaluated, skipped ambiguous gt) over the gt pairs whose
-    amodal masks meet."""
+    """(correct, evaluated, skipped) over the gt pairs whose amodal masks
+    meet. A gt pair is skipped when its own order is ambiguous, or disjoint
+    because its joint overlap at c is empty; every other pair is evaluated,
+    and it is correct when its predicted verdict equals the gt verdict, so a
+    missing, ambiguous or disjoint prediction counts as incorrect. The gt
+    order comes from _gt_order, which the scene keeps for the last (c,
+    gt_confidence)."""
     by_id = dict(pred_maps)
     correct = 0
     evaluated = 0
@@ -366,13 +371,17 @@ def order_accuracy(
     order matches the ground truth.
 
     pred_maps pairs each predicted map with the gt id it was assigned to.
-    Ambiguous or disjoint predictions on an ordered gt pair count as
-    incorrect; gt pairs whose own order is ambiguous are excluded.
+    Gt pairs whose masks meet are excluded when their own order is
+    ambiguous, or disjoint because their joint overlap at c is empty.
+    Missing, ambiguous or disjoint predictions on an ordered gt pair count
+    as incorrect.
 
     The gt order is computed from the scene's stacks at gt_confidence without
     building gt maps; it is the order of encode_scene(scene_gt, gt_confidence).
-    Raises ConfidencePrecisionError, as that encode does, where gt_confidence
-    does not survive float32 rounding at a level of the scene.
+    The scene keeps it for the last (c, gt_confidence), so scoring the scene
+    again at them reuses it. Raises ConfidencePrecisionError, as that encode
+    does, where gt_confidence does not survive float32 rounding at a level of
+    the scene.
     """
     _check_order_threshold(c, gt_confidence)
     correct, evaluated, _ = _order_counts(scene_gt, pred_maps, c, gt_confidence)
@@ -433,8 +442,9 @@ def evaluate(
     no evaluable pair) order_accuracy is None. With them, c must satisfy
     0 < c < gt_confidence, as in order_accuracy. The gt order of each scene
     is computed from its stacks at gt_confidence without building gt maps,
-    and ConfidencePrecisionError is raised where gt_confidence does not
-    survive float32 rounding at a level of a scene.
+    and kept by the scene as order_accuracy keeps it.
+    ConfidencePrecisionError is raised where gt_confidence does not survive
+    float32 rounding at a level of a scene.
     """
     _check_image_counts(gt_images, pred_images)
     if image_names is None:

@@ -2,12 +2,13 @@
 
 Everything here is an immutable value: numpy payloads are copied on
 construction and marked read-only, so instances are safe to share across
-threads and to use as fixture data. Two private caches fill on first use
+threads and to use as fixture data. Three private caches fill on first use
 and never change what a value means: a map the library has just built holds
 only its crop on its support box and builds its full frame on first access,
-and a scene keeps each instance's support box once a read has found it.
-Both are deterministic functions of the value, so threads that race to fill
-them fill in equal data.
+a scene keeps each instance's support box once a read has found it, and a
+scene keeps its gt depth order for the last threshold and gt confidence it
+was scored at. All are deterministic functions of the value (and of that
+key), so threads that race to fill them fill in equal data.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class BinaryMask(_FrozenGrid):
         return cls(np.zeros((height, width), dtype=bool))
 
     def area(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def is_subset_of(self, other: "BinaryMask") -> bool:
         self.require_same_shape(other)
@@ -202,6 +203,14 @@ class LayerStackScene:
     must to find the instance, and keeps the box it finds; every later read
     compares the stacks on that box only. The boxes take no part in
     equality. Threads that read one instance at once find the same box.
+
+    The scene also keeps, in _gt_orders, the gt depth order of its
+    overlapping instance pairs for the last (c, gt_confidence) that
+    order_accuracy or evaluate scored it at, so scoring it again at that
+    key walks no pair. Only one key is kept, and a walk that raises keeps
+    nothing. The entry is one (key, triples) tuple stored in one attribute
+    write, so a racing thread reads either an older entry or a finished
+    one, and entries for one key are equal. It takes no part in equality.
     """
 
     width: int
@@ -229,6 +238,7 @@ class LayerStackScene:
         object.__setattr__(self, "instances", instances)
         object.__setattr__(self, "stacks", stacks)
         object.__setattr__(self, "_boxes", {})
+        object.__setattr__(self, "_gt_orders", None)
 
     @classmethod
     def from_layers(

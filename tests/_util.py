@@ -1,10 +1,12 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and shared helpers for the test suite.
 
-These deliberately avoid the library's own vectorized code paths: the depth
-order oracle walks the pixel stacks one by one with a hand-rolled BFS, and
-the gradient oracle uses central finite differences.
+The oracles deliberately avoid the library's own vectorized code paths: the
+depth order oracle walks the pixel stacks one by one with a hand-rolled BFS,
+and the gradient oracle uses central finite differences.
 """
 
+import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -81,3 +83,28 @@ def max_rel_error(got: np.ndarray, want: np.ndarray) -> float:
     """Worst relative deviation with the denominator floored at 1."""
     denom = np.maximum(1.0, np.abs(want))
     return float(np.max(np.abs(got - want) / denom))
+
+
+def race(read, threads: int = 8) -> list:
+    """read() from many threads released at once, with a short switch
+    interval so that they interleave; returns what each thread read."""
+    seen = []
+    barrier = threading.Barrier(threads)
+
+    def run():
+        barrier.wait(timeout=10)
+        seen.append(read())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == threads
+    return seen

@@ -12,8 +12,6 @@ pasted in, bit for bit. Grids are compared as uint32 or int32 views, so
 
 import copy
 import pickle
-import sys
-import threading
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +44,8 @@ from semdist import (
     visibility_levels,
     visible_mask_of,
 )
+
+from _util import race
 
 F = np.float32
 
@@ -320,34 +320,9 @@ def test_file_bytes_are_those_of_the_full_frame():
         assert semdist_to_bytes(semdist) == semdist_to_bytes(SemDistMap(want))
 
 
-def _race(read, threads=8):
-    """read() from many threads released at once, with a short switch
-    interval so that they interleave; returns what each thread read."""
-    seen = []
-    barrier = threading.Barrier(threads)
-
-    def run():
-        barrier.wait(timeout=10)
-        seen.append(read())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=run) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert len(seen) == threads
-    return seen
-
-
 def test_threads_building_one_frame_share_one_array():
     for semdist, want in _library_maps():
-        seen = _race(lambda: semdist.values)
+        seen = race(lambda: semdist.values)
         assert all(values is semdist.values for values in seen)
         assert np.array_equal(_bits(semdist.values), _bits(want))
 
@@ -356,7 +331,7 @@ def test_threads_finding_one_scene_box_agree():
     scene = _generated()
     for _ in range(5):
         fresh = _plain(scene)
-        seen = _race(lambda: [amodal_mask_of(fresh, i).bits for i in scene.ids()])
+        seen = race(lambda: [amodal_mask_of(fresh, i).bits for i in scene.ids()])
         for masks in seen:
             for instance_id, bits in zip(scene.ids(), masks):
                 assert np.array_equal(bits, ref_amodal(scene, instance_id))
