@@ -26,6 +26,7 @@ import numpy as np
 from .codec import (
     DEFAULT_CONFIDENCE,
     DEFAULT_THRESHOLD,
+    _check_threshold,
     decode_amodal,
     decode_levels,
     decode_modal,
@@ -129,6 +130,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     semdist = read_semdist(args.map)
+    _check_threshold(args.threshold)
     if args.mode in ("modal", "amodal"):
         decode = decode_modal if args.mode == "modal" else decode_amodal
         image = np.where(decode(semdist) >= args.threshold, 255, 0).astype(np.uint8)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy import ndimage
@@ -179,14 +179,13 @@ def _instance_levels(
     """Support box of the instance and its levels on that box (LEVEL_ABSENT
     where it is missing), from one compare of the stacks; (None, None) when
     no pixel holds the instance."""
-    box, hits, hits_box = _instance_hits(scene, instance_id)
+    box, hits = _instance_hits(scene, instance_id)
     if box is None:
         return None, None
-    local = hits[(slice(None), *_local(_window(box), hits_box))]
-    levels = np.full(local.shape[1:], LEVEL_ABSENT, dtype=np.int32)
+    levels = np.full(hits.shape[1:], LEVEL_ABSENT, dtype=np.int32)
     # back to front, so the front-most level wins
-    for depth in reversed(range(local.shape[0])):
-        levels[local[depth]] = depth
+    for depth in reversed(range(hits.shape[0])):
+        levels[hits[depth]] = depth
     return box, levels
 
 
@@ -245,28 +244,21 @@ def _semdist_from_levels(
     levels covers box, the box of the set levels (None: none is set), and
     confidence is a float32 scalar or a grid of the given shape. Only the
     box is computed and checked, and the map holds nothing else.
-    """
-    crop = None if box is None else _semdist_on_box(box, levels, confidence)
-    return SemDistMap._from_crop(shape, box, crop)
-
-
-def _semdist_on_box(
-    box: _Box, levels: np.ndarray, confidence: Union[np.ndarray, np.float32]
-) -> np.ndarray:
-    """The values of _semdist_from_levels on box alone, checked the same way.
 
     Raises ConfidencePrecisionError where a value would not decode back to
     its level, naming the pixel in frame coordinates.
     """
+    if box is None:
+        return SemDistMap._from_crop(shape, None, None)
     if np.ndim(confidence):
         confidence = confidence[_window(box)]
     present = levels != LEVEL_ABSENT
     integer = -levels.astype(np.float32)
-    local = np.zeros(levels.shape, dtype=np.float32)
+    crop = np.zeros(levels.shape, dtype=np.float32)
     # confidence + (-level) has the same bits as confidence - level
-    np.add(confidence, integer, out=local, where=present)
-    _require_exact(local, integer, confidence, present, (box[0], box[2]))
-    return local
+    np.add(confidence, integer, out=crop, where=present)
+    _require_exact(crop, integer, confidence, present, (box[0], box[2]))
+    return SemDistMap._from_crop(shape, box, crop)
 
 
 def _decode_on_box(semdist: SemDistMap, decode, background: np.generic) -> np.ndarray:
@@ -288,7 +280,7 @@ def decode_modal(semdist: SemDistMap) -> np.ndarray:
     """
 
     def modal(values: np.ndarray) -> np.ndarray:
-        return np.where((values >= 0.0) & (values < 1.0), values, np.float32(0.0))
+        return np.where(values >= 0.0, values, np.float32(0.0))
 
     return _decode_on_box(semdist, modal, np.float32(0.0))
 
@@ -319,24 +311,22 @@ def _check_threshold(c: float) -> None:
         raise ValueError(f"confidence threshold must lie strictly inside (0, 1), got {c}")
 
 
-_Operand = tuple[Optional[_Box], Optional[np.ndarray]]
-"""One side of a pair: a support box (None when every value is +0.0) and the
-values on that box alone."""
-
-
 _Pair = tuple[tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pair(a: _Operand, b: _Operand, c: float) -> Optional[_Pair]:
-    """The pair step: the intersection of the two support boxes as a frame
-    window, the values of a and of b on it, and their joint overlap there,
+def _pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
+    """The pair step, after checking that the maps share a frame and that c
+    is valid: the intersection of the two support boxes as a frame window,
+    the values of a and of b on it, and their joint overlap there,
     frac_a * frac_b > c^2 with a float32 product and a float64 threshold.
     None when the boxes are disjoint.
 
     Outside its box a map holds only +0.0, whose fractional part is 0, so no
     pixel of a pair's overlap lies outside the window.
     """
-    (box_a, values_a), (box_b, values_b) = a, b
+    map_a.require_same_shape(map_b)
+    _check_threshold(c)
+    box_a, box_b = map_a._support_box, map_b._support_box
     if box_a is None or box_b is None:
         return None
     y0, x0 = max(box_a[0], box_b[0]), max(box_a[2], box_b[2])
@@ -344,16 +334,9 @@ def _pair(a: _Operand, b: _Operand, c: float) -> Optional[_Pair]:
     if y0 >= y1 or x0 >= x1:
         return None
     window = slice(y0, y1), slice(x0, x1)
-    va, vb = values_a[_local(window, box_a)], values_b[_local(window, box_b)]
+    va, vb = map_a._crop[_local(window, box_a)], map_b._crop[_local(window, box_b)]
     joint = (va - np.floor(va)) * (vb - np.floor(vb))
     return window, va, vb, joint > np.float64(c) * np.float64(c)
-
-
-def _map_pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
-    """_pair of two maps, after checking that they share a frame and that c is valid."""
-    map_a.require_same_shape(map_b)
-    _check_threshold(c)
-    return _pair((map_a._support_box, map_a._crop), (map_b._support_box, map_b._crop), c)
 
 
 def _votes(a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -368,7 +351,7 @@ def overlap_region(
 ) -> BinaryMask:
     """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
     bits = np.zeros(map_a._shape, dtype=bool)
-    pair = _map_pair(map_a, map_b, c)
+    pair = _pair(map_a, map_b, c)
     if pair is not None:
         bits[pair[0]] = pair[3]
     return BinaryMask(bits)
@@ -394,7 +377,7 @@ def relative_order(
     """Per-pixel difference of integer parts, floor(A) - floor(B), inside the
     joint overlap region; 0 outside."""
     votes = np.zeros(map_a._shape, dtype=np.int32)
-    pair = _map_pair(map_a, map_b, c)
+    pair = _pair(map_a, map_b, c)
     if pair is not None:
         window, a, b, omega = pair
         votes[window] = _votes(a, b, omega)
@@ -452,7 +435,7 @@ def order_regions(
     intersection of the two maps' support boxes, so a pair whose boxes are
     disjoint returns DISJOINT without reading its pixels.
     """
-    return _regions(_map_pair(map_a, map_b, c))
+    return _regions(_pair(map_a, map_b, c))
 
 
 def _signs(pair: Optional[_Pair]) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -497,16 +480,16 @@ def object_order(
     """Object-level depth verdict: sign of the largest same-sign vote region,
     as order_regions gives it. The vote regions are labelled only when both
     signs are present."""
-    return _pair_verdict(_map_pair(map_a, map_b, c))
+    return _pair_verdict(_pair(map_a, map_b, c))
 
 
 def _gt_order(
     scene: LayerStackScene, c: float, gt_confidence: float
 ) -> tuple[tuple[int, int, OrderVerdict], ...]:
     """(id_a, id_b, verdict) for each pair of instances, ids ascending, whose
-    amodal masks meet. Each instance's values are taken on its support box
-    alone, as encode_scene(scene, gt_confidence) would write them there, and
-    raise as it would.
+    amodal masks meet. The gt maps are those of encode_scene(scene,
+    gt_confidence), which hold only their box crops, so no full frame is
+    built; the walk raises exactly where that encode raises.
 
     The scene keeps the triples of the last (c, gt_confidence) it was asked
     for, keyed by their float values, so scoring a scene again at the same
@@ -515,11 +498,7 @@ def _gt_order(
     cached = scene._gt_orders
     if cached is not None and cached[0] == key:
         return cached[1]
-    confidence = _confidence(gt_confidence, scene.height, scene.width)
-    gt: dict[int, _Operand] = {}
-    for instance_id in scene.ids():
-        box, levels = _instance_levels(scene, instance_id)
-        gt[instance_id] = box, None if box is None else _semdist_on_box(box, levels, confidence)
+    gt = encode_scene(scene, gt_confidence)
     order = []
     for id_a, id_b in combinations(sorted(gt), 2):
         pair = _pair(gt[id_a], gt[id_b], c)

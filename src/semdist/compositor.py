@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .codec import DEFAULT_THRESHOLD
-from .codec import _map_pair, _require_exact
+from .codec import _pair, _require_exact
 from .types import (
     BinaryMask,
     InstanceAnnotation,
@@ -324,7 +324,7 @@ def perturb_semdist(
     entries = sorted(maps, key=lambda item: item[0])
     swapped: dict[int, np.ndarray] = {}  # entry position -> crop copy, made on its first swap
     for (i, (_, map_a)), (j, (_, map_b)) in combinations(enumerate(entries), 2):
-        pair = _map_pair(map_a, map_b, c)
+        pair = _pair(map_a, map_b, c)
         if pair is None or not pair[3].any():
             continue
         if rng.uniform() >= config.level_flip_prob:

@@ -142,7 +142,7 @@ def rle_encode(mask: BinaryMask) -> RleMask:
     runs = np.diff(boundaries).tolist()
     if flat[0]:
         runs.insert(0, 0)
-    return RleMask(mask.width, mask.height, tuple(int(r) for r in runs))
+    return RleMask(mask.width, mask.height, runs)
 
 
 def rle_decode(rle: RleMask) -> BinaryMask:
@@ -577,7 +577,7 @@ def semdist_from_bytes(data: bytes) -> SemDistMap:
     expected = _SDM_HEADER.size + 4 * width * height * channels
     if len(data) != expected:
         raise SdmFormatError(f"payload is {len(data)} bytes, expected {expected}")
-    values = np.frombuffer(data, dtype="<f4", offset=_SDM_HEADER.size).astype(np.float32)
+    values = np.frombuffer(data, dtype="<f4", offset=_SDM_HEADER.size)
     try:
         return SemDistMap(values.reshape((height, width)))
     except ValueError as exc:

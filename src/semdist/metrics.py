@@ -376,12 +376,12 @@ def order_accuracy(
     Missing, ambiguous or disjoint predictions on an ordered gt pair count
     as incorrect.
 
-    The gt order is computed from the scene's stacks at gt_confidence without
-    building gt maps; it is the order of encode_scene(scene_gt, gt_confidence).
-    The scene keeps it for the last (c, gt_confidence), so scoring the scene
-    again at them reuses it. Raises ConfidencePrecisionError, as that encode
-    does, where gt_confidence does not survive float32 rounding at a level of
-    the scene.
+    The gt order is the order of the maps of encode_scene(scene_gt,
+    gt_confidence), which hold only their box crops, so no full frame is
+    built. The scene keeps it for the last (c, gt_confidence), so scoring
+    the scene again at them reuses it. Raises ConfidencePrecisionError, as
+    that encode does, where gt_confidence does not survive float32 rounding
+    at a level of the scene.
     """
     _check_order_threshold(c, gt_confidence)
     correct, evaluated, _ = _order_counts(scene_gt, pred_maps, c, gt_confidence)
@@ -441,8 +441,8 @@ def evaluate(
     for depth-order accuracy, pooled over all scenes; without them (or with
     no evaluable pair) order_accuracy is None. With them, c must satisfy
     0 < c < gt_confidence, as in order_accuracy. The gt order of each scene
-    is computed from its stacks at gt_confidence without building gt maps,
-    and kept by the scene as order_accuracy keeps it.
+    comes from the maps of encode_scene(scene, gt_confidence) as crops, with
+    no full frames, and is kept by the scene as order_accuracy keeps it.
     ConfidencePrecisionError is raised where gt_confidence does not survive
     float32 rounding at a level of a scene.
     """

@@ -422,35 +422,30 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
 
 def _instance_hits(
     scene: LayerStackScene, instance_id: int
-) -> tuple[Optional[_Box], Optional[np.ndarray], Optional[_Box]]:
-    """(box, hits, hits_box) for a listed instance: its support box, and the
-    (depth, rows, cols) grid of where the stacks hold it on hits_box, a
-    frame box around the support box. Only the read that finds the support
-    box compares all of the stacks, so its hits_box is the whole frame;
-    later reads compare the support box alone. box is None when no pixel
-    holds the instance, and then hits may be None too. Raises
+) -> tuple[Optional[_Box], Optional[np.ndarray]]:
+    """(box, hits) for a listed instance: its support box, and the (depth,
+    rows, cols) grid of where the stacks hold it on that box; (None, None)
+    when no pixel holds it. Only the read that finds the support box
+    compares all of the stacks; later reads compare the box alone. Raises
     UnknownInstanceError for an id the scene does not list."""
     scene.record_of(instance_id)
     if instance_id not in scene._boxes:
         hits = scene.stacks == instance_id
         box = scene._boxes[instance_id] = _box_of(np.logical_or.reduce(hits, axis=0))
-        return box, hits, (0, scene.height, 0, scene.width)
+        return box, None if box is None else hits[(slice(None), *_window(box))]
     box = scene._boxes[instance_id]
-    if box is None:
-        return None, None, None
-    return box, scene.stacks[(slice(None), *_window(box))] == instance_id, box
+    return box, None if box is None else scene.stacks[(slice(None), *_window(box))] == instance_id
 
 
 def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMask, BinaryMask]:
     """Amodal and visible mask of one instance, from one compare of the
     stacks."""
-    box, hits, hits_box = _instance_hits(scene, instance_id)
+    box, hits = _instance_hits(scene, instance_id)
     amodal = np.zeros((scene.height, scene.width), dtype=bool)
     visible = np.zeros((scene.height, scene.width), dtype=bool)
     if box is not None:
-        window = _window(hits_box)
-        amodal[window] = np.logical_or.reduce(hits, axis=0)
-        visible[window] = hits[0]
+        amodal[_window(box)] = np.logical_or.reduce(hits, axis=0)
+        visible[_window(box)] = hits[0]
     return BinaryMask._fresh(amodal), BinaryMask._fresh(visible)
 
 

@@ -130,6 +130,23 @@ def test_decode_modes(tmp_path, scene_file):
     assert np.array_equal(levels_img.astype(np.int32), np.maximum(expected, 0))
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1", "1.5", "nan"])
+@pytest.mark.parametrize("mode", ["modal", "amodal", "levels"])
+def test_decode_threshold_outside_unit_interval_exits_one(
+    tmp_path, scene_file, capsys, mode, threshold
+):
+    maps = tmp_path / "maps"
+    main(["encode", "--scene", str(scene_file), "--out", str(maps)])
+    capsys.readouterr()
+    out = tmp_path / "view.pgm"
+    args = ["decode", "--map", str(maps / "scene_0002.sdm"), "--mode", mode]
+    assert main(args + ["--threshold", threshold, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "confidence threshold must lie strictly inside (0, 1)" in captured.err
+    assert not out.exists()
+
+
 def test_order_prints_verdict(tmp_path, scene_file, capsys):
     maps = tmp_path / "maps"
     main(["encode", "--scene", str(scene_file), "--out", str(maps)])

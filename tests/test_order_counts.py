@@ -1,5 +1,5 @@
-"""The gt side of the order counts is computed from each instance's values on
-its support box, without building gt maps. A hypothesis sweep holds the
+"""The gt side of the order counts comes from the maps of encode_scene as
+crops, with no full frames. A hypothesis sweep holds the
 counts equal to the full-frame reference in test_pair_window, which encodes
 the whole gt scene, on crowded generated scenes up to 256x256 with exact,
 perturbed and partial predictions, and with thresholds just below the
