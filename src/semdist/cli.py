@@ -37,8 +37,11 @@ from .compositor import GenConfig, PerturbConfig, generate, perturb, render, sce
 from .io import (
     SchemaError,
     _dump_json,
-    _load_json,
+    _parse_json,
+    _read_text,
+    _scene_from_text,
     annotations_from_dict,
+    read_scene,
     read_semdist,
     scene_from_dict,
     write_annotations,
@@ -83,6 +86,13 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _output_path(out: str) -> Path:
+    """The path of an output file, its parent directory created."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -119,7 +129,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     scene_path = Path(args.scene)
-    scene = scene_from_dict(_load_json(scene_path))
+    scene = read_scene(scene_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for instance_id, semdist in encode_scene(scene, args.confidence).items():
@@ -139,7 +149,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         image = np.where(levels == LEVEL_ABSENT, 0, np.minimum(levels + 1, 255)).astype(
             np.uint8
         )
-    write_pgm(image, args.out)
+    write_pgm(image, _output_path(args.out))
     print(f"wrote {args.mode} view to {args.out}")
     return 0
 
@@ -157,7 +167,11 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 def _read_gt_document(path: Path):
     """Scene or annotation JSON -> (width, height, annotations, scene or None)."""
-    doc = _load_json(path)
+    text = _read_text(path)
+    scene = _scene_from_text(text)
+    if scene is not None:
+        return scene.width, scene.height, scene_annotations(scene), scene
+    doc = _parse_json(text)
     if isinstance(doc, dict) and "stacks" in doc:
         scene = scene_from_dict(doc)
         return scene.width, scene.height, scene_annotations(scene), scene
@@ -177,7 +191,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     degraded = perturb(annotations, config)
-    write_annotations(width, height, degraded, args.out)
+    write_annotations(width, height, degraded, _output_path(args.out))
     print(f"wrote {len(degraded)} annotations to {args.out}")
     return 0
 
@@ -232,14 +246,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if not isinstance(value, (list, dict)):  # the metrics; per_image and meta are not printed
             print(f"{key}: {'none' if value is None else f'{value:.4f}'}")
     if args.report is not None:
-        Path(args.report).write_text(_dump_json(doc), encoding="utf-8")
+        _output_path(args.report).write_text(_dump_json(doc), encoding="utf-8")
         print(f"wrote report to {args.report}")
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    scene = scene_from_dict(_load_json(Path(args.scene)))
-    write_ppm(render(scene), args.out)
+    scene = read_scene(args.scene)
+    write_ppm(render(scene), _output_path(args.out))
     print(f"wrote render to {args.out}")
     return 0
 

@@ -14,6 +14,15 @@ Formats:
 
 Readers are strict: unknown JSON fields, wrong types, and inconsistent
 counts raise structured errors naming the offending JSON path.
+
+read_scene reads a sparse stacks block in one numpy pass over its bytes
+(_sparse_block) and parses only the rest of the text with json.loads. The
+array checks and the scatter into the stacks array are the ones
+scene_from_dict uses. Any text that pass does not take (the dense form, a
+backslash, "stacks" other than exactly once, a repeated key, a number with
+a leading zero or over 10 digits, or any failed check) goes to
+scene_from_dict(json.loads(text)), so the result, or the error and its
+path, is the same either way.
 """
 
 from __future__ import annotations
@@ -341,7 +350,7 @@ def _parse_stack_cell(raw, path: str, known: set[int]) -> list[int]:
 
 def _raise_stack_defect(raw_stacks: Union[dict, list], width: int, height: int, known: set[int]) -> None:
     """Walk the stack cells in document order and raise the first defect.
-    Runs only after _bulk_stacks has found one, to name its JSON path."""
+    Runs only after the bulk checks have found one, to name its JSON path."""
     if isinstance(raw_stacks, list):
         for index, raw_cell in enumerate(raw_stacks):
             _parse_stack_cell(raw_cell, f"$.stacks[{index}]", known)
@@ -361,54 +370,89 @@ def _raise_stack_defect(raw_stacks: Union[dict, list], width: int, height: int, 
     raise AssertionError("the bulk stack check rejected stacks the walk accepts")
 
 
-def _bulk_stacks(
-    keys: Optional[list], cells: list, area: int, known: set[int]
-) -> Optional[tuple[Union[list, np.ndarray], np.ndarray, np.ndarray]]:
-    """(pixel indices, cell lengths, flat ids) of stacks that pass every check
-    of _raise_stack_defect, checked in bulk; None when some cell or key fails.
-    keys is None for dense stacks, whose pixel indices are the cell positions.
-    Sparse indices stay Python ints until the stacks array proves they fit."""
+def _stack_arrays(
+    keys: Optional[list], cells: list
+) -> Optional[tuple[Optional[np.ndarray], np.ndarray, np.ndarray]]:
+    """(pixel indices, cell lengths, flat ids) of stacks parsed from JSON,
+    or None when a cell is not a list of ints or a key is not a decimal
+    string. keys is None for dense stacks, and so are their pixel indices."""
     if not all(map(isinstance, cells, repeat(list))):
         return None
     flat = list(chain.from_iterable(cells))
     if not all(map(isinstance, flat, repeat(int))) or any(map(isinstance, flat, repeat(bool))):
         return None
-    if flat and not (1 <= min(flat) and max(flat) <= _INT32_MAX):
-        return None
-    ids = np.array(flat, dtype=np.int64)
-    if not np.isin(ids, [i for i in known if i <= _INT32_MAX]).all():
+    try:
+        ids = np.array(flat, dtype=np.int64)
+    except OverflowError:  # past int64, so past the int32 stack range too
         return None
     lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    # one (cell, id) key per entry: a repeat within a cell sorts next to its twin
-    entries = np.sort(np.repeat(np.arange(len(cells), dtype=np.int64), lengths) << 31 | ids)
-    if (entries[1:] == entries[:-1]).any():
-        return None
     if keys is None:
-        return np.arange(len(cells)), lengths, ids
-    if not keys:
-        return [], lengths, ids
-    if not lengths.all():
-        return None
+        return None, lengths, ids
     try:
         joined = ",".join(keys)  # TypeError on a key that is not a str
         indices = list(map(int, keys))  # no key that int() takes holds a comma
     except (TypeError, ValueError):
         return None
-    if not _SPARSE_KEYS.fullmatch(joined) or max(indices) >= area:
+    if keys and not _SPARSE_KEYS.fullmatch(joined):
         return None
-    return indices, lengths, ids
+    # an index past intp fits only a grid no array can hold: object keeps it
+    # exact for the range check, and the allocation then fails
+    big = max(indices, default=0) > _INTP_MAX
+    return np.array(indices, dtype=object if big else np.intp), lengths, ids
 
 
-def scene_from_dict(doc) -> LayerStackScene:
-    """Parse and validate a scene document; raises SchemaError on any defect."""
+def _scene_head(doc) -> tuple[int, int, tuple[InstanceRecord, ...], object]:
+    """width, height, instance records and the raw "stacks" value of a scene
+    document, every field but the stacks checked."""
     root = _require_object(doc, "$")
     _reject_unknown(root, ("width", "height", "instances", "stacks"), "$")
     width = _require_int(_get_required(root, "width", "$"), "$.width", 1)
     height = _require_int(_get_required(root, "height", "$"), "$.height", 1)
     records = _parse_instances(_get_required(root, "instances", "$"), "$.instances")
-    known = {record.id for record in records}
+    return width, height, records, _get_required(root, "stacks", "$")
 
-    raw_stacks = _get_required(root, "stacks", "$")
+
+def _stacked_scene(
+    width: int,
+    height: int,
+    records: tuple[InstanceRecord, ...],
+    pixels: Optional[np.ndarray],
+    lengths: np.ndarray,
+    ids: np.ndarray,
+) -> Optional[LayerStackScene]:
+    """The scene whose stacks hold the flat ids cell by cell, front to back,
+    at the cells' pixel indices (None for dense stacks: a cell per pixel),
+    or None when the arrays fail a check of _raise_stack_defect: an id not
+    listed or outside 1..int32 max, an id twice in one cell or, for sparse
+    stacks, an empty cell or an index outside the grid."""
+    # listed ids are positive, so an id equal to its nearest listed id is in range
+    listed = np.array(sorted(r.id for r in records if r.id <= _INT32_MAX), dtype=np.int64)
+    if ids.size and not listed.size:
+        return None
+    if (listed.take(listed.searchsorted(ids), mode="clip") != ids).any():
+        return None
+    # one (cell, id) key per entry: a repeat within a cell sorts next to its twin
+    cell = np.arange(lengths.size).repeat(lengths)
+    entries = cell << 31 | ids
+    entries.sort()
+    if (entries[1:] == entries[:-1]).any():
+        return None
+    if pixels is not None and pixels.size:
+        if not lengths.all() or int(pixels.max()) >= width * height:
+            return None
+    depth = int(lengths.max(initial=0))
+    try:
+        stacks = np.zeros((depth, height, width), dtype=np.int32)
+    except (ValueError, MemoryError) as exc:
+        raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc
+    pixel = cell if pixels is None else np.asarray(pixels, dtype=np.intp).take(cell)
+    stacks.reshape(depth, height * width)[_ranks(lengths), pixel] = ids
+    return LayerStackScene(width, height, records, stacks)
+
+
+def scene_from_dict(doc) -> LayerStackScene:
+    """Parse and validate a scene document; raises SchemaError on any defect."""
+    width, height, records, raw_stacks = _scene_head(doc)
     if isinstance(raw_stacks, list):
         if len(raw_stacks) != width * height:
             raise SchemaError(
@@ -420,19 +464,103 @@ def scene_from_dict(doc) -> LayerStackScene:
         keys, cells = list(raw_stacks), list(raw_stacks.values())
     else:
         raise SchemaError("$.stacks", "expected an array (dense) or object (sparse)")
-    checked = _bulk_stacks(keys, cells, width * height, known)
-    if checked is None:
-        _raise_stack_defect(raw_stacks, width, height, known)
-    pixels, lengths, ids = checked
+    parsed = _stack_arrays(keys, cells)
+    scene = None if parsed is None else _stacked_scene(width, height, records, *parsed)
+    if scene is None:
+        _raise_stack_defect(raw_stacks, width, height, {record.id for record in records})
+    return scene
 
-    depth = int(lengths.max(initial=0))
+
+# Between two digit runs, a sparse stacks block without its whitespace holds
+# ',' between ids, '":[' from a key to its ids, or '],"' from the last id of
+# a cell to the next key: each read as the little-endian number of its bytes,
+# its length in the top byte.
+_COMMA, _KEY_TO_IDS, _NEXT_CELL = (
+    int.from_bytes(sep, "little") | len(sep) << 24 for sep in (b",", b'":[', b'],"')
+)
+_POWERS_OF_TEN = 10 ** np.arange(10, dtype=np.int64)
+_STACKS_KEY = re.compile(r'"stacks"[ \t\n\r]*:[ \t\n\r]*\{')
+
+
+def _sparse_block(block: bytes) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(pixel indices, cell lengths, flat ids) of a sparse stacks block in
+    document order, read in one pass over its bytes, or None unless the
+    block is {"key": [id, ...], ...} with JSON whitespace, at least one id
+    per cell, no number with a leading zero or over 10 digits, and no key
+    twice."""
+    compact = block.translate(None, b" \t\n\r")
+    data = np.frombuffer(compact, dtype=np.uint8)
+    number = data - ord("0")  # a digit's value; above 9 for any other byte
+    digit = number < 10
+    # the block opens on "{" and closes on "}", so edges alternate start, end
+    edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
+    starts, ends = edges[0::2], edges[1::2]
+    if not starts.size:
+        return (starts, starts, starts) if compact == b"{}" else None
+    if compact[: starts[0]] != b'{"' or compact[ends[-1] :] != b"]}":
+        return None
+    # the separator after every run but the last, as the little-endian number
+    # of its bytes: ',' (gap 1), '":[' or '],"' (gap 3); "]}" follows the last
+    gap = starts[1:] - ends[:-1]
+    words = np.ndarray((data.size - 3,), dtype="<u4", buffer=compact, strides=(1,))
+    separator = words.take(ends[:-1]) & np.where(gap == 1, 0xFF, 0xFFFFFF) | gap << 24
+    to_ids = separator == _KEY_TO_IDS
+    next_cell = separator == _NEXT_CELL
+    # a run that opens the block or follows '],"' is a key, and '":[' follows a key
+    key = np.concatenate(([True], next_cell))
+    if not (to_ids | next_cell | (separator == _COMMA)).all() or (to_ids != key[:-1]).any():
+        return None
+    # in the block so checked, the runs of digit or quote bytes are the keys
+    # with their quotes and the ids; whitespace that parted two of them split a
+    # number or stood inside a key's quotes
+    raw = np.frombuffer(block, dtype=np.uint8)
+    tight = ((raw - ord("0")) < 10) | (raw == ord('"'))
+    if np.count_nonzero(tight[1:] > tight[:-1]) != starts.size:
+        return None
+    size = ends - starts
+    if size.max() > 10 or ((size > 1) & (number.take(starts) == 0)).any():
+        return None
+    # every digit times ten to the power of its place in its run, summed per run
+    where = digit.nonzero()[0]
+    place = (ends - 1).repeat(size) - where
+    values = np.add.reduceat(
+        number.take(where) * _POWERS_OF_TEN.take(place), size.cumsum() - size
+    )
+    at_key = key.nonzero()[0]
+    pixels = values.take(at_key)
+    ordered = np.sort(pixels)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    lengths = np.concatenate((at_key[1:], [key.size])) - at_key - 1
+    return pixels, lengths, values[~key]
+
+
+def _scene_from_text(text: str) -> Optional[LayerStackScene]:
+    """The scene of a scene file's text, its sparse stacks block read by
+    _sparse_block and the rest of the text by json.loads, or None where only
+    scene_from_dict(json.loads(text)) can decide: a backslash anywhere,
+    "stacks" other than exactly once, the dense form, or a failed check.
+    Never raises."""
+    if "\\" in text or text.count('"stacks"') != 1:
+        return None
+    found = _STACKS_KEY.match(text, text.find('"stacks"'))
+    if found is None:
+        return None
+    opening = found.end() - 1
+    closing = text.find("}", opening)  # the grammar holds no brace inside
+    if closing < 0:
+        return None
+    parsed = _sparse_block(text[opening : closing + 1].encode("ascii", "replace"))
+    if parsed is None:
+        return None
     try:
-        stacks = np.zeros((depth, height, width), dtype=np.int32)
-    except (ValueError, MemoryError) as exc:
-        raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc
-    pixel = np.repeat(np.asarray(pixels, dtype=np.intp), lengths)
-    stacks.reshape(depth, height * width)[_ranks(lengths), pixel] = ids
-    return LayerStackScene(width, height, records, stacks)
+        # one "stacks" in the text, so a head that passes holds it at the root
+        width, height, records, _ = _scene_head(
+            json.loads(text[:opening] + "{}" + text[closing + 1 :])
+        )
+        return _stacked_scene(width, height, records, *parsed)
+    except (ValueError, RecursionError, SemDistError):
+        return None
 
 
 def write_scene(scene: LayerStackScene, path: PathLike, stacks: str = "sparse") -> None:
@@ -448,24 +576,36 @@ def write_scene(scene: LayerStackScene, path: PathLike, stacks: str = "sparse") 
 
 
 def read_scene(path: PathLike) -> LayerStackScene:
-    return scene_from_dict(_load_json(path))
+    """Read a scene file: the sparse stacks block in one numpy pass over its
+    bytes where it can, else scene_from_dict on the parsed JSON, with the
+    same result either way."""
+    text = _read_text(path)
+    scene = _scene_from_text(text)
+    return scene if scene is not None else scene_from_dict(_parse_json(text))
 
 
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: PathLike):
+def _read_text(path: PathLike) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError("$", f"not UTF-8 text: {exc}") from exc
+
+
+def _parse_json(text: str):
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("$", "arrays or objects nested too deeply to parse") from exc
+
+
+def _load_json(path: PathLike):
+    return _parse_json(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,10 @@ def iou_matrix(
                 "all masks in one image must share dimensions, "
                 f"got {ann.amodal.bits.shape} vs {shape}"
             )
-    g = np.stack([ann.amodal.bits.ravel() for ann in gt]).astype(np.int64)
-    p = np.stack([ann.amodal.bits.ravel() for ann in pred]).astype(np.int64)
+    # float64 takes the BLAS matmul; every count is an integer below 2**53, so
+    # each sum is exact in any order and the IoUs equal those of int64 counts
+    g = np.stack([ann.amodal.bits.ravel() for ann in gt]).astype(np.float64)
+    p = np.stack([ann.amodal.bits.ravel() for ann in pred]).astype(np.float64)
     inter = g @ p.T
     union = g.sum(axis=1)[:, None] + p.sum(axis=1)[None, :] - inter
     out = np.zeros_like(inter, dtype=np.float64)

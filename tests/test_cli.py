@@ -198,6 +198,25 @@ def test_render_writes_ppm(tmp_path, scene_file):
     assert np.array_equal(read_ppm(out), render(build_s0()))
 
 
+@pytest.mark.parametrize("command", ["perturb", "decode", "render", "eval"])
+def test_output_file_in_a_new_directory(tmp_path, scene_file, capsys, command):
+    maps = tmp_path / "maps"
+    main(["encode", "--scene", str(scene_file), "--out", str(maps)])
+    written = []
+    for out in (tmp_path / "flat.out", tmp_path / "new" / "nested" / "file.out"):
+        args = {
+            "perturb": ["perturb", "--gt", str(scene_file), "--out", str(out)],
+            "decode": ["decode", "--map", str(maps / "scene_0002.sdm"), "--out", str(out)],
+            "render": ["render", "--scene", str(scene_file), "--out", str(out)],
+            "eval": ["eval", "--gt", str(scene_file), "--pred", str(scene_file), "--report", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.endswith(f" to {out}\n")
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_eval_gt_vs_gt_pair_of_directories(tmp_path, capsys):
     gt = tmp_path / "gt"
     assert main(["generate", "--seed", "4", "--count", "3", "--out", str(gt)]) == 0

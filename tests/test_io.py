@@ -1,5 +1,7 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,11 +45,13 @@ from semdist import (
 )
 from semdist.io import (
     _get_required,
+    _load_json,
     _parse_instances,
     _reject_unknown,
     _require_int,
     _require_list,
     _require_object,
+    _scene_from_text,
 )
 
 
@@ -501,6 +505,225 @@ class TestSceneReaderEquivalence:
         else:
             assert type(got) is type(expected)
             assert got.path == expected.path
+
+
+def _render(doc, style):
+    """A scene document as JSON text: as write_scene lays it out, compact,
+    or with irregular JSON whitespace (tabs, carriage returns, blank runs)."""
+    if style == "sorted":  # keys that are not strings become strings first
+        return json.dumps(json.loads(json.dumps(doc)), indent=2, sort_keys=True) + "\n"
+    if style == "compact":
+        return json.dumps(doc, separators=(",", ":"))
+    return "\r\n " + json.dumps(doc, indent="\t \r", separators=(" ,\n", "\t:  ")) + " \t\n"
+
+
+def _read_both(text):
+    """(read_scene, scene_from_dict on the parsed JSON) for one file text;
+    each is a scene or the SemDistError it raised."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        path.write_bytes(text.encode("utf-8"))
+        for read in (read_scene, lambda p: scene_from_dict(_load_json(p))):
+            try:
+                outcomes.append(read(path))
+            except SemDistError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected, LayerStackScene):
+        assert got == expected
+    else:
+        assert type(got) is type(expected)
+        assert got.path == expected.path
+        assert str(got) == str(expected)
+
+
+def _block_span(text):
+    """Start and end (past its closing brace) of the sparse stacks block."""
+    start = re.search(r'"st(acks|\\u0061cks)": \{', text).end() - 1
+    return start, text.index("}", start) + 1
+
+
+def _digit_at(text, draw, span, leading=False):
+    """Index of a drawn digit in text[span]; with leading, one that opens its number."""
+    start, end = span
+    spots = [
+        i for i in range(start, end)
+        if text[i].isdigit() and not (leading and text[i - 1].isdigit())
+    ]
+    return draw(st.sampled_from(spots)) if spots else None
+
+
+_BYTE_MUTATIONS = (
+    "digit_flip", "leading_zero", "eleven_digits", "drop_comma", "duplicate_cell",
+    "second_stacks", "escaped_stacks", "brace_in_block", "trailing_garbage",
+    "drop_number", "insert_punctuation", "swap_punctuation",
+)
+
+
+def _mutate_text(text, kind, draw):
+    span = _block_span(text)
+    start, end = span
+    if kind == "digit_flip":
+        at = _digit_at(text, draw, span)
+        if at is None:
+            return text
+        return text[:at] + draw(st.sampled_from("0123456789")) + text[at + 1 :]
+    if kind == "leading_zero":
+        at = _digit_at(text, draw, span, leading=True)
+        return text if at is None else text[:at] + "0" + text[at:]
+    if kind in ("eleven_digits", "drop_number"):
+        numbers = [m.span() for m in re.finditer(r"\d+", text[start:end])]
+        if not numbers:
+            return text
+        first, last = draw(st.sampled_from(numbers))
+        digits = "12345678901" if kind == "eleven_digits" else ""
+        return text[: start + first] + digits + text[start + last :]
+    if kind == "drop_comma":
+        commas = [i for i in range(start, end) if text[i] == ","]
+        if not commas:
+            return text
+        at = draw(st.sampled_from(commas))
+        return text[:at] + text[at + 1 :]
+    if kind == "duplicate_cell":
+        cells = [m.span() for m in re.finditer(r'"\d+": \[[^\]]*\]', text[start:end])]
+        if not cells:
+            return text
+        # a second cell under a key already used, before or after the first,
+        # holding the ids of a drawn cell: JSON keeps the last of the two
+        cell_start, cell_end = draw(st.sampled_from(cells))
+        key = text[start + cell_start : text.index(":", start + cell_start)]
+        other_start, other_end = draw(st.sampled_from(cells))
+        ids = text[text.index("[", start + other_start) : start + other_end]
+        cell = f"{key}: {ids}"
+        if draw(st.booleans()):
+            at = start + cell_start
+            return text[:at] + cell + ",\n    " + text[at:]
+        at = start + cell_end
+        return text[:at] + ",\n    " + cell + text[at:]
+    if kind == "second_stacks":
+        where = draw(st.sampled_from(['"stacks"', '"st\\u0061cks"', "category"]))
+        if where == "category":
+            return text.replace('"category": null', '"category": "stacks"', 1)
+        return text.replace('\n  "width"', f'\n  {where}: {{}},\n  "width"')
+    if kind == "escaped_stacks":
+        return text.replace('"stacks"', '"st\\u0061cks"')
+    if kind in ("brace_in_block", "insert_punctuation"):
+        at = draw(st.integers(start + 1, end - 1))
+        mark = "}" if kind == "brace_in_block" else draw(st.sampled_from('[]:,"'))
+        return text[:at] + mark + text[at:]
+    if kind == "swap_punctuation":
+        marks = [i for i in range(start + 1, end - 1) if text[i] in '[]:,"']
+        at = draw(st.sampled_from(marks)) if marks else None
+        return text if at is None else text[:at] + draw(st.sampled_from('[]:,"')) + text[at + 1 :]
+    return text + draw(st.sampled_from(["x", "}", "{}", "\n]", "\u00a0"]))
+
+
+@st.composite
+def _mutated_scene_texts(draw):
+    size = draw(st.sampled_from([1, 3, 5, 12]))
+    if size == 1:
+        scene = LayerStackScene(1, 1, (InstanceRecord(1),), np.ones((1, 1, 1), dtype=np.int32))
+    else:
+        scene = generate(GenConfig(seed=draw(st.integers(0, 40)), width=size, height=size))
+    text = json.dumps(scene_to_dict(scene), indent=2, sort_keys=True) + "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        text = _mutate_text(text, draw(st.sampled_from(_BYTE_MUTATIONS)), draw)
+    return text
+
+
+def _sparse_text_scenes():
+    """Generated scenes, the empty and 1x1 edge cases, and ids up to int32 max."""
+    top = LayerStackScene(
+        3, 2, (InstanceRecord(2**31 - 1), InstanceRecord(5)),
+        np.array([[[2**31 - 1, 5, 0], [0, 0, 5]], [[5, 2**31 - 1, 0], [0, 0, 0]]], dtype=np.int32),
+    )
+    return (
+        [generate(GenConfig(seed=s, width=w, height=w)) for s in range(8) for w in (5, 16, 64)]
+        + [generate(GenConfig(seed=0, width=256, height=256, object_count_range=(8, 12)))]
+        + [_edge_scenes()[0], top]
+        + [LayerStackScene(1, 1, (InstanceRecord(1),), np.ones((1, 1, 1), dtype=np.int32))]
+        + [LayerStackScene(1, 1, (InstanceRecord(4),), np.zeros((0, 1, 1), dtype=np.int32))]
+    )
+
+
+_SPARSE_TEXT_SCENES = _sparse_text_scenes()
+
+
+class TestSceneTextReader:
+    """read_scene reads a sparse stacks block in one numpy pass over its
+    text and parses only the rest with json.loads; on any text that pass
+    does not take, scene_from_dict decides. Either way read_scene must end
+    as scene_from_dict(json.loads(text)) does."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_mutated_scene_docs(), st.sampled_from(["sorted", "compact", "irregular"]))
+    def test_rendered_documents_read_as_their_dict(self, doc, style):
+        _assert_same_outcome(*_read_both(_render(doc, style)))
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(_mutated_scene_texts())
+    def test_byte_mutations_read_as_their_dict(self, text):
+        _assert_same_outcome(*_read_both(text))
+
+    @pytest.mark.parametrize("index", range(len(_SPARSE_TEXT_SCENES)))
+    def test_sparse_files_take_the_text_path(self, index, tmp_path):
+        scene = _SPARSE_TEXT_SCENES[index]
+        path = tmp_path / "scene.json"
+        write_scene(scene, path)
+        text = path.read_text(encoding="utf-8")
+        assert _scene_from_text(text) == scene
+        for style in ("compact", "irregular"):
+            assert _scene_from_text(_render(scene_to_dict(scene), style)) == scene
+        assert read_scene(path) == scene
+
+    @pytest.mark.parametrize(
+        "stacks",
+        [
+            '{"0": [1], "0": [1]}',  # a key twice: JSON keeps the last
+            '{"0": [1], "1": [1], "0": []}',
+            '{"0": [01]}',  # leading zeros
+            '{"00": [1]}',
+            '{"0": [12345678901]}',  # over 10 digits
+            '{"12345678901": [1]}',
+            '{"0": [1 1]}',  # whitespace inside a number or a key
+            '{" 0": [1]}',
+            '{"0 ": [1]}',
+            '{"0": [1,]}',  # separators out of place
+            '{"0": [1,,,2]}',
+            '{"0": [1:2]}',
+            '{"0": [1]:"1": [2]}',
+            '{"0": [1":[2]}',
+            '{"0"],"1":[1]}',
+            '{"0": [1], "1": [1], }',
+            '{"0": []}',  # no id in a cell
+            '{"": []}',
+            '[[1]]',  # the dense form
+        ],
+    )
+    def test_blocks_the_pass_leaves_to_the_dict_reader(self, stacks):
+        instances = '[{"id": 1}, {"id": 2}, {"id": 12345678901}]'
+        text = f'{{"height": 1, "instances": {instances}, "stacks": {stacks}, "width": 1}}'
+        assert _scene_from_text(text) is None
+        _assert_same_outcome(*_read_both(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a second root key spelt with an escape: JSON keeps the empty one
+            '{"height": 1, "instances": [{"id": 1}], "stacks": {"0": [1]}, "st\\u0061cks": {}, "width": 1}',
+            '{"height": 1, "instances": [{"id": 1}], "stacks": {"0": [1]}, "stacks": {}, "width": 1}',
+            '{"height": 1, "instances": [{"id": 1}], "stacks": {"0": [1]}, "width": 1, "x": 0}',
+            '{"height": 1, "instances": [{"id": 1, "stacks": {"0": [1]}}], "width": 1}',
+            '{"height": 1, "instances": [{"id": 1}], "stacks": {"0": [1]}, "width": 1}\u000b',
+        ],
+    )
+    def test_texts_the_pass_leaves_to_the_dict_reader(self, text):
+        assert _scene_from_text(text) is None
+        _assert_same_outcome(*_read_both(text))
 
 
 class TestAnnotationsJson:

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdist import (
     IOU_THRESHOLDS,
@@ -71,6 +73,40 @@ class TestIou:
         )
         with pytest.raises(DimensionMismatchError):
             iou_matrix(scene_annotations(s0), [small])
+
+
+@st.composite
+def _mask_sets(draw):
+    height, width = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+
+    def annotations(count):
+        out = []
+        for index in range(count):
+            bits = rng.uniform(size=(height, width)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+            bits.flat[rng.integers(bits.size)] = True  # an amodal mask is never empty
+            out.append(InstanceAnnotation.from_masks(index + 1, BinaryMask(bits), BinaryMask(bits)))
+        return out
+
+    return annotations(draw(st.integers(0, 6))), annotations(draw(st.integers(0, 6)))
+
+
+class TestIouMatrixCounts:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(_mask_sets())
+    def test_equals_integer_counts(self, masks):
+        gt, pred = masks
+        got = iou_matrix(gt, pred)
+        expected = np.zeros((len(gt), len(pred)), dtype=np.float64)
+        if gt and pred:
+            g = np.stack([ann.amodal.bits.ravel() for ann in gt]).astype(np.int64)
+            p = np.stack([ann.amodal.bits.ravel() for ann in pred]).astype(np.int64)
+            inter = g @ p.T
+            union = g.sum(axis=1)[:, None] + p.sum(axis=1)[None, :] - inter
+            np.divide(inter, union, out=expected, where=union > 0)
+        assert got.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMatch:
