@@ -26,7 +26,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _Box, _FrozenGrid, _box_of, _instance_hits, _local, _window
+from .types import _Box, _FrozenGrid, _box_of, _instance_hits, _local, _paste, _window
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -195,11 +195,8 @@ def visibility_levels(scene: LayerStackScene, instance_id: int) -> np.ndarray:
     The index equals the number of objects that must be removed before the
     instance becomes visible at that pixel (0 = already visible).
     """
-    box, levels = _instance_levels(scene, instance_id)
-    frame = np.full((scene.height, scene.width), LEVEL_ABSENT, dtype=np.int32)
-    if box is not None:
-        frame[_window(box)] = levels
-    return frame
+    shape = (scene.height, scene.width)
+    return _paste(shape, *_instance_levels(scene, instance_id), np.int32(LEVEL_ABSENT))
 
 
 def encode_semdist(
@@ -261,15 +258,7 @@ def _semdist_from_levels(
     return SemDistMap._from_crop(shape, box, crop)
 
 
-def _decode_on_box(semdist: SemDistMap, decode, background: np.generic) -> np.ndarray:
-    """Full frame holding decode(crop) on the map's support box and
-    background elsewhere. Outside the box every value is +0.0, which each
-    decoder maps to its background."""
-    shape = semdist._shape
-    frame = np.full(shape, background) if background else np.zeros(shape, background.dtype)
-    if semdist._support_box is not None:
-        frame[_window(semdist._support_box)] = decode(semdist._crop)
-    return frame
+# outside its support box a map holds +0.0, which each decoder maps to its fill
 
 
 def decode_modal(semdist: SemDistMap) -> np.ndarray:
@@ -278,16 +267,18 @@ def decode_modal(semdist: SemDistMap) -> np.ndarray:
     Values already in [0, 1) pass through; occluded (negative) pixels and
     background become 0.
     """
-
-    def modal(values: np.ndarray) -> np.ndarray:
-        return np.where(values >= 0.0, values, np.float32(0.0))
-
-    return _decode_on_box(semdist, modal, np.float32(0.0))
+    modal = values = semdist._crop
+    if values is not None:
+        modal = np.where(values >= 0.0, values, np.float32(0.0))
+    return _paste(semdist._shape, semdist._support_box, modal, np.float32(0.0))
 
 
 def decode_amodal(semdist: SemDistMap) -> np.ndarray:
     """Confidence heatmap of the full amodal region: the fractional part."""
-    return _decode_on_box(semdist, lambda values: values - np.floor(values), np.float32(0.0))
+    amodal = values = semdist._crop
+    if values is not None:
+        amodal = values - np.floor(values)
+    return _paste(semdist._shape, semdist._support_box, amodal, np.float32(0.0))
 
 
 def decode_levels(
@@ -296,14 +287,13 @@ def decode_levels(
     """Recover integer visibility levels where amodal confidence clears the
     threshold; LEVEL_ABSENT elsewhere."""
     _check_threshold(confidence_threshold)
-
-    def levels(values: np.ndarray) -> np.ndarray:
+    levels = values = semdist._crop
+    if values is not None:
         floor = np.floor(values)
         kept = (values - floor) >= confidence_threshold
         # only kept pixels reach the cast: a value without fraction may not fit int32
-        return np.where(kept, -floor, np.float32(LEVEL_ABSENT)).astype(np.int32)
-
-    return _decode_on_box(semdist, levels, np.int32(LEVEL_ABSENT))
+        levels = np.where(kept, -floor, np.float32(LEVEL_ABSENT)).astype(np.int32)
+    return _paste(semdist._shape, semdist._support_box, levels, np.int32(LEVEL_ABSENT))
 
 
 def _check_threshold(c: float) -> None:
@@ -311,18 +301,18 @@ def _check_threshold(c: float) -> None:
         raise ValueError(f"confidence threshold must lie strictly inside (0, 1), got {c}")
 
 
-_Pair = tuple[tuple[slice, slice], np.ndarray, np.ndarray, np.ndarray]
+_Pair = tuple[_Box, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
     """The pair step, after checking that the maps share a frame and that c
-    is valid: the intersection of the two support boxes as a frame window,
-    the values of a and of b on it, and their joint overlap there,
+    is valid: the intersection of the two support boxes, the values of a
+    and of b on it, and their joint overlap there,
     frac_a * frac_b > c^2 with a float32 product and a float64 threshold.
     None when the boxes are disjoint.
 
     Outside its box a map holds only +0.0, whose fractional part is 0, so no
-    pixel of a pair's overlap lies outside the window.
+    pixel of a pair's overlap lies outside the intersection.
     """
     map_a.require_same_shape(map_b)
     _check_threshold(c)
@@ -333,10 +323,10 @@ def _pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
     y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
     if y0 >= y1 or x0 >= x1:
         return None
-    window = slice(y0, y1), slice(x0, x1)
-    va, vb = map_a._crop[_local(window, box_a)], map_b._crop[_local(window, box_b)]
+    box = y0, y1, x0, x1
+    va, vb = map_a._crop[_local(box, box_a)], map_b._crop[_local(box, box_b)]
     joint = (va - np.floor(va)) * (vb - np.floor(vb))
-    return window, va, vb, joint > np.float64(c) * np.float64(c)
+    return box, va, vb, joint > np.float64(c) * np.float64(c)
 
 
 def _votes(a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -350,11 +340,9 @@ def overlap_region(
     map_a: SemDistMap, map_b: SemDistMap, c: float = DEFAULT_THRESHOLD
 ) -> BinaryMask:
     """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
-    bits = np.zeros(map_a._shape, dtype=bool)
     pair = _pair(map_a, map_b, c)
-    if pair is not None:
-        bits[pair[0]] = pair[3]
-    return BinaryMask(bits)
+    box, omega = (None, None) if pair is None else (pair[0], pair[3])
+    return BinaryMask._fresh(_paste(map_a._shape, box, omega, np.False_))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,12 +364,9 @@ def relative_order(
 ) -> RelativeOrderMap:
     """Per-pixel difference of integer parts, floor(A) - floor(B), inside the
     joint overlap region; 0 outside."""
-    votes = np.zeros(map_a._shape, dtype=np.int32)
     pair = _pair(map_a, map_b, c)
-    if pair is not None:
-        window, a, b, omega = pair
-        votes[window] = _votes(a, b, omega)
-    return RelativeOrderMap(votes)
+    box, votes = (None, None) if pair is None else (pair[0], _votes(*pair[1:]))
+    return RelativeOrderMap._fresh(_paste(map_a._shape, box, votes, np.int32(0)))
 
 
 class OrderVerdict(Enum):
@@ -440,11 +425,11 @@ def order_regions(
 
 def _signs(pair: Optional[_Pair]) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(front votes, behind votes, overlap) masks of one pair step's result
-    on its window; None when the overlap is empty."""
+    on its box; None when the overlap is empty."""
     if pair is None or not pair[3].any():
         return None
     _, values_a, values_b, omega = pair
-    # components of masks that are empty outside the window are the same on the window
+    # components of masks that are empty outside the box are the same on the box
     votes = _votes(values_a, values_b, omega)
     return votes > 0, votes < 0, omega
 

@@ -329,18 +329,18 @@ def perturb_semdist(
             continue
         if rng.uniform() >= config.level_flip_prob:
             continue
-        window, _, _, omega = pair
+        box, _, _, omega = pair
         for k, semdist in ((i, map_a), (j, map_b)):
             if k not in swapped:
                 swapped[k] = np.array(semdist._crop)
         # views: the swap writes through
-        va = swapped[i][_local(window, map_a._support_box)]
-        vb = swapped[j][_local(window, map_b._support_box)]
+        va = swapped[i][_local(box, map_a._support_box)]
+        vb = swapped[j][_local(box, map_b._support_box)]
         floor_a, floor_b = np.floor(va), np.floor(vb)
         frac_a, frac_b = va - floor_a, vb - floor_b
         va[omega] = (frac_a + floor_b)[omega]
         vb[omega] = (frac_b + floor_a)[omega]
-        origin = (window[0].start, window[1].start)
+        origin = (box[0], box[2])
         _require_exact(va, floor_b, frac_a, omega, origin)
         _require_exact(vb, floor_a, frac_b, omega, origin)
     # a swap keeps every omega pixel non-zero, so each map keeps its box

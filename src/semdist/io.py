@@ -16,13 +16,16 @@ Readers are strict: unknown JSON fields, wrong types, and inconsistent
 counts raise structured errors naming the offending JSON path.
 
 read_scene reads a sparse stacks block in one numpy pass over its bytes
-(_sparse_block) and parses only the rest of the text with json.loads. The
-array checks and the scatter into the stacks array are the ones
-scene_from_dict uses. Any text that pass does not take (the dense form, a
-backslash, "stacks" other than exactly once, a repeated key, a number with
-a leading zero or over 10 digits, or any failed check) goes to
-scene_from_dict(json.loads(text)), so the result, or the error and its
-path, is the same either way.
+(_sparse_block) and parses only the rest of the text with json.loads. Any
+text that pass does not take (the dense form, a backslash, "stacks" other
+than exactly once, a repeated key, a number with a leading zero or over 10
+digits, or any failed check) goes to scene_from_dict(json.loads(text)), so
+the result, or the error and its path, is the same either way.
+
+Both scene readers check the stacks as per-pixel cells and hand them to the
+one scatter in types; both writers take them from the one gather there.
+types owns how stacks and map crops sit in memory, and this module never
+allocates or reshapes a stacks array.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _INT32_MAX
+from .types import _INT32_MAX, _ranks, _stack_cells, _stacks_from_cells
 
 _INTP_MAX = int(np.iinfo(np.intp).max)  # the most elements an array can index
 
@@ -233,23 +236,6 @@ _SPARSE_KEY = "0|[1-9][0-9]*"
 _SPARSE_KEYS = re.compile(f"(?:{_SPARSE_KEY})(?:,(?:{_SPARSE_KEY}))*")
 
 
-def _pixel_stacks(scene: LayerStackScene, dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major pixel indices (the occupied ones, or all when dense), their
-    stack lengths, and their ids front to back in one flat array, empty
-    slots dropped."""
-    depth = scene.stacks.shape[0]
-    flat = scene.stacks.reshape(depth, scene.height * scene.width)
-    pixels = np.arange(flat.shape[1]) if dense else np.flatnonzero(flat.any(axis=0))
-    columns = flat[:, pixels].T
-    filled = columns != 0
-    return pixels, filled.sum(axis=1), columns[filled]
-
-
-def _ranks(lengths: np.ndarray) -> np.ndarray:
-    """Depth of every flat id inside its stack, for stacks of these lengths."""
-    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
 def _stack_form(stacks: str) -> bool:
     """True for "dense", False for "sparse"."""
     if stacks not in ("sparse", "dense"):
@@ -267,7 +253,7 @@ def _scene_fields(scene: LayerStackScene) -> dict:
 def scene_to_dict(scene: LayerStackScene, stacks: str = "sparse") -> dict:
     """Scene as a JSON-ready dict; stacks is either "sparse" or "dense"."""
     dense = _stack_form(stacks)
-    pixels, lengths, ids = _pixel_stacks(scene, dense)
+    pixels, lengths, ids = _stack_cells(scene.stacks, dense)
     ends = np.cumsum(lengths).tolist()
     cells = list(map(getitem, repeat(ids.tolist()), map(slice, [0] + ends[:-1], ends)))
     return {
@@ -440,13 +426,11 @@ def _stacked_scene(
     if pixels is not None and pixels.size:
         if not lengths.all() or int(pixels.max()) >= width * height:
             return None
-    depth = int(lengths.max(initial=0))
     try:
-        stacks = np.zeros((depth, height, width), dtype=np.int32)
+        stacks = _stacks_from_cells(height, width, pixels, lengths, ids)
     except (ValueError, MemoryError) as exc:
+        depth = int(lengths.max(initial=0))
         raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc
-    pixel = cell if pixels is None else np.asarray(pixels, dtype=np.intp).take(cell)
-    stacks.reshape(depth, height * width)[_ranks(lengths), pixel] = ids
     return LayerStackScene(width, height, records, stacks)
 
 
@@ -570,7 +554,7 @@ def write_scene(scene: LayerStackScene, path: PathLike, stacks: str = "sparse") 
     fields = _scene_fields(scene)
     width = fields.pop("width")
     head = _dump_json(fields)  # ends "\n}\n"; "stacks" and "width" sort after its keys
-    block = _stacks_text(*_pixel_stacks(scene, dense), dense)
+    block = _stacks_text(*_stack_cells(scene.stacks, dense), dense)
     text = f'{head[:-3]},\n  "stacks": {block},\n  "width": {json.dumps(width)}\n}}\n'
     Path(path).write_text(text, encoding="utf-8")
 

@@ -9,6 +9,14 @@ a scene keeps each instance's support box once a read has found it, and a
 scene keeps its gt depth order for the last threshold and gt confidence it
 was scored at. All are deterministic functions of the value (and of that
 key), so threads that race to fill them fill in equal data.
+
+This module alone knows how scenes and maps sit in memory. A scene's stacks
+are a (depth, height, width) int32 array whose plane k holds each pixel's
+(k + 1)-th id from the front, 0 past the end of its stack. Its cells are the
+occupied (or all) row-major pixel indices, their stack lengths and all their
+ids front to back in one flat array; _stacks_from_cells scatters cells into
+stacks and _stack_cells gathers them back. Every crop on a support box
+becomes a full frame through _paste.
 """
 
 from __future__ import annotations
@@ -72,10 +80,19 @@ def _window(box: _Box) -> tuple[slice, slice]:
     return slice(box[0], box[1]), slice(box[2], box[3])
 
 
-def _local(window: tuple[slice, slice], box: _Box) -> tuple[slice, slice]:
-    """A frame window inside box, in the coordinates of an array of the box."""
-    ys, xs = window
-    return slice(ys.start - box[0], ys.stop - box[0]), slice(xs.start - box[2], xs.stop - box[2])
+def _local(inner: _Box, box: _Box) -> tuple[slice, slice]:
+    """The window of inner, a box inside box, in an array of box."""
+    return slice(inner[0] - box[0], inner[1] - box[0]), slice(inner[2] - box[2], inner[3] - box[2])
+
+
+def _paste(shape: tuple[int, int], box: Optional[_Box], crop, fill: np.generic) -> np.ndarray:
+    """Fresh frame of fill's dtype holding crop on box and fill elsewhere; box
+    None (with crop None) pastes nothing. A zero fill takes np.zeros, so the
+    pages of the frame that the crop misses are never touched."""
+    frame = np.full(shape, fill) if fill else np.zeros(shape, fill.dtype)
+    if box is not None:
+        frame[_window(box)] = crop
+    return frame
 
 
 class _FrozenGrid:
@@ -188,6 +205,37 @@ class InstanceRecord:
             raise ValueError(f"category must be a string or None, got {self.category!r}")
 
 
+def _ranks(lengths: np.ndarray) -> np.ndarray:
+    """Depth of every flat id inside its stack, for stacks of these lengths."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _stacks_from_cells(
+    height: int, width: int, pixels: Optional[np.ndarray], lengths: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """Stacks as deep as the longest cell, holding the flat ids cell by cell,
+    front to back, at the cells' pixel indices (None: a cell per pixel, in
+    order). The cells must fit the frame. Raises ValueError or MemoryError
+    where no array of that shape can be held."""
+    depth = int(lengths.max(initial=0))
+    stacks = np.zeros((depth, height, width), dtype=np.int32)
+    cell = np.arange(lengths.size).repeat(lengths)
+    pixel = cell if pixels is None else np.asarray(pixels, dtype=np.intp).take(cell)
+    stacks.reshape(depth, height * width)[_ranks(lengths), pixel] = ids
+    return stacks
+
+
+def _stack_cells(stacks: np.ndarray, dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of the stacks: the occupied pixels, or every pixel when dense,
+    with empty slots dropped."""
+    depth, height, width = stacks.shape
+    flat = stacks.reshape(depth, height * width)
+    pixels = np.arange(flat.shape[1]) if dense else np.flatnonzero(flat.any(axis=0))
+    columns = flat[:, pixels].T
+    filled = columns != 0
+    return pixels, filled.sum(axis=1), columns[filled]
+
+
 @dataclass(frozen=True, eq=False)
 class LayerStackScene:
     """Per-pixel front-to-back stacks of instance ids.
@@ -254,6 +302,7 @@ class LayerStackScene:
         duplicates by construction.
         """
         records = []
+        pixels = [np.empty(0, dtype=np.intp)]
         seen: set[int] = set()
         for record, mask in layers:
             if record.id in seen:
@@ -264,23 +313,21 @@ class LayerStackScene:
                     f"mask for instance {record.id} is {mask.width}x{mask.height}, "
                     f"scene is {width}x{height}"
                 )
+            pixels.append(np.flatnonzero(mask.bits))
             # an id that no pixel uses never enters the stacks, so it may exceed int32
-            if record.id > _INT32_MAX and mask.bits.any():
+            if record.id > _INT32_MAX and pixels[-1].size:
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
             records.append(record)
         boxes = {record.id: _box_of(mask.bits) for record, mask in layers}
-        cover = np.zeros((height, width), dtype=np.int32)
-        for _, mask in layers:
-            cover += mask.bits
-        depth = int(cover.max()) if records else 0
-        stacks = np.zeros((depth, height, width), dtype=np.int32)
-        fill = np.zeros((height, width), dtype=np.intp)
-        for record, mask in layers:
-            ys, xs = np.nonzero(mask.bits)
-            if ys.size == 0:
-                continue
-            stacks[fill[ys, xs], ys, xs] = record.id
-            fill[ys, xs] += 1
+        sizes = np.array([p.size for p in pixels[1:]], dtype=np.intp)
+        ids = np.array([r.id if n else 0 for r, n in zip(records, sizes)], dtype=np.int32)
+        # stable, so each pixel's ids stay in layer order: front to back
+        flat = np.concatenate(pixels)
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        lengths = np.diff(starts, append=flat.size)
+        stacks = _stacks_from_cells(height, width, flat[starts], lengths, ids.repeat(sizes)[order])
         scene = cls(width, height, tuple(records), stacks)
         scene._boxes.update(boxes)
         return scene
@@ -338,84 +385,60 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
     Detects: duplicate entries in the instance list, ids in stacks that the
     instance list lacks, non-positive ids in stacks, one id occurring twice in
     a single pixel stack, and empty slots sitting above occupied ones.
+
+    Each stack defect is reported once per id, at a witness pixel. An
+    unknown or non-positive id is reported at its first entry, planes first
+    (the front-most plane holding it, then row-major), in ascending id
+    order. A repeated id is reported at the first pixel, in row-major order,
+    whose stack holds it twice, in the order of those pixels. Only the first
+    gap is reported, planes first.
     """
     violations: list[SceneViolation] = []
 
     seen: set[int] = set()
     for record in scene.instances:
         if record.id in seen:
-            violations.append(
-                SceneViolation(
-                    kind="duplicate_instance",
-                    message=f"instance id {record.id} listed more than once",
-                    instance_id=record.id,
-                )
-            )
+            message = f"instance id {record.id} listed more than once"
+            violations.append(SceneViolation("duplicate_instance", message, None, record.id))
         seen.add(record.id)
 
     stacks = scene.stacks
     if stacks.size == 0:
         return violations
 
-    known = set(scene.ids())
-    for uid in np.unique(stacks):
-        uid = int(uid)
-        if uid == 0:
+    # the first flat index of an id is its first entry, planes first
+    uids, firsts = np.unique(stacks, return_index=True)
+    for uid, first in zip(uids.tolist(), firsts.tolist()):
+        if uid == 0 or uid in seen:
             continue
-        plane, y, x = (int(v) for v in np.argwhere(stacks == uid)[0])
+        _, y, x = (int(v) for v in np.unravel_index(first, stacks.shape))
         if uid < 0:
-            violations.append(
-                SceneViolation(
-                    kind="invalid_id",
-                    message=f"stack at ({x}, {y}) holds non-positive id {uid}",
-                    pixel=(x, y),
-                    instance_id=uid,
-                )
-            )
-        elif uid not in known:
-            violations.append(
-                SceneViolation(
-                    kind="unknown_id",
-                    message=f"stack at ({x}, {y}) references id {uid} "
-                    "missing from the instance list",
-                    pixel=(x, y),
-                    instance_id=uid,
-                )
-            )
+            kind, message = "invalid_id", f"stack at ({x}, {y}) holds non-positive id {uid}"
+        else:
+            kind = "unknown_id"
+            message = f"stack at ({x}, {y}) references id {uid} missing from the instance list"
+        violations.append(SceneViolation(kind, message, (x, y), uid))
 
-    # duplicate id inside one pixel stack: sort the depth axis and compare neighbours
+    # duplicate id inside one pixel stack: sort the depth axis and compare
+    # neighbours, then take each id at its first pixel in row-major order
     if stacks.shape[0] > 1:
         ordered = np.sort(stacks, axis=0)
         dup = (ordered[1:] == ordered[:-1]) & (ordered[1:] != 0)
-        reported: set[int] = set()
-        for y, x in np.argwhere(dup.any(axis=0)):
-            column = stacks[:, y, x]
-            values, counts = np.unique(column[column != 0], return_counts=True)
-            for uid in values[counts > 1]:
-                uid = int(uid)
-                if uid in reported:
-                    continue
-                reported.add(uid)
-                violations.append(
-                    SceneViolation(
-                        kind="duplicate_id_in_stack",
-                        message=f"id {uid} occurs twice in the stack at ({int(x)}, {int(y)})",
-                        pixel=(int(x), int(y)),
-                        instance_id=uid,
-                    )
-                )
+        _, ys, xs = dup.nonzero()
+        uids = ordered[1:][dup]
+        by_pixel = np.lexsort((uids, ys * scene.width + xs))
+        _, firsts = np.unique(uids[by_pixel], return_index=True)
+        for k in by_pixel[np.sort(firsts)].tolist():
+            uid, x, y = int(uids[k]), int(xs[k]), int(ys[k])
+            message = f"id {uid} occurs twice in the stack at ({x}, {y})"
+            violations.append(SceneViolation("duplicate_id_in_stack", message, (x, y), uid))
 
     if stacks.shape[0] > 1:
         gaps = (stacks[:-1] == 0) & (stacks[1:] != 0)
         if gaps.any():
             _, y, x = (int(v) for v in np.argwhere(gaps)[0])
-            violations.append(
-                SceneViolation(
-                    kind="gap_in_stack",
-                    message=f"stack at ({x}, {y}) has an occupied slot below an empty one",
-                    pixel=(x, y),
-                )
-            )
+            message = f"stack at ({x}, {y}) has an occupied slot below an empty one"
+            violations.append(SceneViolation("gap_in_stack", message, (x, y)))
 
     return violations
 
@@ -441,12 +464,9 @@ def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMas
     """Amodal and visible mask of one instance, from one compare of the
     stacks."""
     box, hits = _instance_hits(scene, instance_id)
-    amodal = np.zeros((scene.height, scene.width), dtype=bool)
-    visible = np.zeros((scene.height, scene.width), dtype=bool)
-    if box is not None:
-        amodal[_window(box)] = np.logical_or.reduce(hits, axis=0)
-        visible[_window(box)] = hits[0]
-    return BinaryMask._fresh(amodal), BinaryMask._fresh(visible)
+    crops = (None, None) if hits is None else (np.logical_or.reduce(hits, axis=0), hits[0])
+    shape = (scene.height, scene.width)
+    return tuple(BinaryMask._fresh(_paste(shape, box, crop, np.False_)) for crop in crops)
 
 
 def amodal_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
@@ -528,9 +548,7 @@ class SemDistMap(_FrozenGrid):
         # reached only for names missing from the instance: values before its first build
         if name != "values":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        frame = np.zeros(self._shape, dtype=np.float32)
-        if self._support_box is not None:
-            frame[_window(self._support_box)] = self._crop
+        frame = _paste(self._shape, self._support_box, self._crop, np.float32(0.0))
         frame.setflags(write=False)
         return self.__dict__.setdefault("values", frame)
 

@@ -192,6 +192,61 @@ def test_perturb_nan_score_noise_exits_one(tmp_path, scene_file, capsys):
     assert not out.exists()
 
 
+def test_dense_scene_file_reads_as_its_sparse_twin(tmp_path, capsys):
+    scene = generate(GenConfig(seed=6))
+    outputs = []
+    for form in ("sparse", "dense"):
+        path = tmp_path / f"{form}.json"
+        write_scene(scene, path, stacks=form)
+        pred = tmp_path / f"{form}_pred.json"
+        capsys.readouterr()
+        assert main(["perturb", "--gt", str(path), "--erode", "1", "--seed", "3",
+                     "--out", str(pred)]) == 0
+        assert main(["eval", "--gt", str(path), "--pred", str(path)]) == 0
+        assert main(["eval", "--gt", str(path), "--pred", str(pred)]) == 0
+        outputs.append((pred.read_bytes(), capsys.readouterr().out.replace(str(pred), "PRED")))
+    assert outputs[0] == outputs[1]
+    assert "order_accuracy: 1.0000" in outputs[0][1]
+
+
+@pytest.mark.parametrize("command", ["perturb", "eval"])
+def test_json_that_is_neither_scene_nor_annotations_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "other.json"
+    path.write_text('{"images": []}', encoding="utf-8")
+    args = {
+        "perturb": ["perturb", "--gt", str(path), "--out", str(tmp_path / "pred.json")],
+        "eval": ["eval", "--gt", str(path), "--pred", str(path)],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: $: expected a scene or annotation document\n"
+    assert not (tmp_path / "pred.json").exists()
+
+
+def test_eval_empty_directory_exits_one(tmp_path, capsys):
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir()
+    pred.mkdir()
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == f"error: no scene or annotation JSON files under {gt}\n"
+
+
+def test_perturb_drop_occluded_checked_at_parse_time(tmp_path, scene_file, capsys):
+    out = tmp_path / "pred.json"
+    assert main(["perturb", "--gt", str(scene_file), "--drop-occluded", "1.5",
+                 "--out", str(out)]) == 2
+    assert "expected a value in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--erode", "-1"), ("--dilate", "-2"),
+                                         ("--score-noise", "-0.5")])
+def test_perturb_negative_config_exits_one(tmp_path, scene_file, capsys, flag, value):
+    out = tmp_path / "pred.json"
+    assert main(["perturb", "--gt", str(scene_file), flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_render_writes_ppm(tmp_path, scene_file):
     out = tmp_path / "scene.ppm"
     assert main(["render", "--scene", str(scene_file), "--out", str(out)]) == 0

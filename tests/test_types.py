@@ -110,6 +110,47 @@ class TestLayerStackScene:
         assert scene.ids() == (1, 2**40)
         assert scene.stacks.tolist() == [[[1, 1], [1, 1]]]
 
+    def test_from_layers_id_past_int64_without_pixels_kept(self):
+        # such an id never meets numpy: it would not fit any integer array
+        mask = BinaryMask(np.ones((2, 2), dtype=bool))
+        scene = LayerStackScene.from_layers(
+            2, 2, [(InstanceRecord(2**70), BinaryMask.zeros(2, 2)), (InstanceRecord(3), mask)]
+        )
+        assert scene.ids() == (2**70, 3)
+        assert scene.stacks.tolist() == [[[3, 3], [3, 3]]]
+        assert amodal_mask_of(scene, 2**70).area() == 0
+
+    def test_from_layers_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            LayerStackScene.from_layers(0, 2, [])
+
+    def test_from_layers_stacks_follow_layer_order(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(20):
+            height, width = (int(v) for v in rng.integers(1, 7, size=2))
+            bits = rng.uniform(size=(int(rng.integers(0, 6)), height, width)) < 0.5
+            records = [InstanceRecord(int(k)) for k in rng.permutation(np.arange(1, 9))]
+            layers = list(zip(records, map(BinaryMask, bits)))
+            scene = LayerStackScene.from_layers(width, height, layers)
+            for y in range(height):
+                for x in range(width):
+                    expected = tuple(r.id for r, mask in layers if mask.bits[y, x])
+                    assert scene.stack_at(x, y) == expected
+            assert scene.stacks.shape[0] == int(bits.sum(axis=0).max(initial=0))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2, (), np.zeros((0, 2, 0), np.int32)), "at least 1x1"),
+            ((2, 2, (1,), np.zeros((0, 2, 2), np.int32)), "must be InstanceRecord"),
+            ((2, 2, (), np.zeros((1, 2, 3), np.int32)), r"shape \(depth, 2, 2\)"),
+            ((2, 2, (), np.zeros((2, 2), np.int32)), r"shape \(depth, 2, 2\)"),
+        ],
+    )
+    def test_constructor_errors(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            LayerStackScene(*args)
+
     def test_from_layers_checks_mask_dims(self):
         with pytest.raises(DimensionMismatchError):
             LayerStackScene.from_layers(
@@ -164,6 +205,28 @@ class TestValidateScene:
         violations = validate_scene(scene)
         assert [v.kind for v in violations] == ["duplicate_id_in_stack"]
         assert violations[0].pixel == (0, 0)
+
+    def test_unknown_id_witness_is_its_first_entry_planes_first(self):
+        stacks = np.zeros((2, 2, 2), dtype=np.int32)
+        stacks[0, 0, 0] = 1
+        stacks[1, 0, 0] = 7  # row-major first, but on the second plane
+        stacks[0, 1, 1] = 7
+        scene = LayerStackScene(2, 2, (InstanceRecord(1),), stacks)
+        (violation,) = validate_scene(scene)
+        assert (violation.kind, violation.pixel, violation.instance_id) == ("unknown_id", (1, 1), 7)
+
+    def test_repeated_id_witness_is_its_first_pixel_row_major(self):
+        stacks = np.zeros((3, 2, 2), dtype=np.int32)
+        stacks[:2, 1, 0] = 2  # on the front planes, but on the second row
+        stacks[0, 0, 1] = 3
+        stacks[1:, 0, 1] = 2
+        stacks[:2, 0, 0] = 3
+        scene = LayerStackScene(2, 2, (InstanceRecord(2), InstanceRecord(3)), stacks)
+        found = [(v.kind, v.pixel, v.instance_id) for v in validate_scene(scene)]
+        assert found == [
+            ("duplicate_id_in_stack", (0, 0), 3),
+            ("duplicate_id_in_stack", (1, 0), 2),
+        ]
 
     def test_gap_in_stack(self):
         stacks = np.zeros((2, 2, 2), dtype=np.int32)
