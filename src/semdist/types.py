@@ -302,7 +302,7 @@ class LayerStackScene:
         duplicates by construction.
         """
         records = []
-        pixels = [np.empty(0, dtype=np.intp)]
+        pixels = []
         seen: set[int] = set()
         for record, mask in layers:
             if record.id in seen:
@@ -319,10 +319,11 @@ class LayerStackScene:
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
             records.append(record)
         boxes = {record.id: _box_of(mask.bits) for record, mask in layers}
-        sizes = np.array([p.size for p in pixels[1:]], dtype=np.intp)
+        sizes = np.array([p.size for p in pixels], dtype=np.intp)
+        # 0 stands in for an id that no pixel uses, so such an id never meets numpy
         ids = np.array([r.id if n else 0 for r, n in zip(records, sizes)], dtype=np.int32)
         # stable, so each pixel's ids stay in layer order: front to back
-        flat = np.concatenate(pixels)
+        flat = np.concatenate([np.empty(0, dtype=np.intp), *pixels])
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
         starts = np.flatnonzero(np.diff(flat, prepend=-1))
@@ -464,9 +465,12 @@ def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMas
     """Amodal and visible mask of one instance, from one compare of the
     stacks."""
     box, hits = _instance_hits(scene, instance_id)
-    crops = (None, None) if hits is None else (np.logical_or.reduce(hits, axis=0), hits[0])
+    amodal = visible = None
+    if hits is not None:
+        amodal, visible = np.logical_or.reduce(hits, axis=0), hits[0]
     shape = (scene.height, scene.width)
-    return tuple(BinaryMask._fresh(_paste(shape, box, crop, np.False_)) for crop in crops)
+    return (BinaryMask._fresh(_paste(shape, box, amodal, np.False_)),
+            BinaryMask._fresh(_paste(shape, box, visible, np.False_)))
 
 
 def amodal_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
