@@ -4,7 +4,10 @@ Each digest covers one output over one group of inputs, so a failing case
 names both. The groups are seeded generated scenes at 64x64, at the crowded
 256x256 settings of the `order-256` benchmark workload and at 96x40, plus
 two groups of small random inputs: invalid stacks for validate_scene, and
-tiny masks whose IoUs and scores tie often, for match and evaluate.
+tiny masks whose IoUs and scores tie often, for match and evaluate. The
+cli group runs the command sequence of the CI workflow in-process, in a
+temporary working directory with relative paths, and digests each command's
+exit code and stdout, and every file the sequence writes.
 
 An output change that is meant must be followed by a rewrite of the table:
 
@@ -15,8 +18,11 @@ and CHANGES.md must name each digest that changed and say why.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -52,6 +58,7 @@ from semdist import (
     write_annotations,
     write_scene,
 )
+from semdist.cli import main
 
 _CROWDED = dict(width=256, height=256, object_count_range=(8, 12), size_range=(0.15, 0.4))
 SCENE_GROUPS = {
@@ -70,6 +77,20 @@ SCENE_OUTPUTS = (
     "decode_amodal",
     "order_regions",
     "evaluate",
+)
+
+_MAP_A, _MAP_B = "maps/scene_0000_0001.sdm", "maps/scene_0000_0002.sdm"
+CLI_SEQUENCE = (
+    "generate --count 2 --out scenes",
+    "encode --scene scenes/scene_0000.json --out maps",
+    f"decode --map {_MAP_A} --mode levels --out levels.pgm",
+    f"decode --map {_MAP_A} --mode modal --out modal.pgm",
+    f"decode --map {_MAP_A} --mode amodal --out amodal.pgm",
+    f"order --map-a {_MAP_A} --map-b {_MAP_B}",
+    "perturb --gt scenes/scene_0000.json --erode 1 --out pred/scene_0000.json",
+    "eval --gt scenes/scene_0000.json --pred pred/scene_0000.json --report out/report.json",
+    "eval --gt scenes --pred scenes",
+    "render --scene scenes/scene_0001.json --out renders/scene_0001.ppm",
 )
 
 # BEGIN GOLDEN
@@ -106,6 +127,8 @@ GOLDEN = {
     "96x40/evaluate": "21e4d28bee871c258494b240de1fdc112445b6260648386354413a4efff582fa",
     "random/validate_scene": "6af91a586ab4f7b1d87e3934e63be38bb07f7181279958e20584450f298a063f",
     "tiny/match_evaluate": "a38fe1d4403532475a6d295658cc3dcdcebc3420f340ee40dd5460852427b08e",
+    "cli/commands": "c60fe4d2bfca11217b0fccac8406498cf36ba5c346b7ea7f3c90b20a031a79ba",
+    "cli/files": "be1687333a5fe6df0e621f21625ae3b94abf6c1261e017eb70298eda53e98a4c",
 }
 # END GOLDEN
 
@@ -236,6 +259,28 @@ def _match_parts() -> list:
     return parts
 
 
+@lru_cache(maxsize=None)
+def _cli_parts() -> dict[str, list]:
+    """Each command with its exit code and stdout, and each written file
+    after its path relative to the working directory, in path order."""
+    commands = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in CLI_SEQUENCE:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main(command.split())
+                commands += [command, str(code), stdout.getvalue()]
+            files = []
+            for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+                files += [path.as_posix(), path.read_bytes()]
+        finally:
+            os.chdir(home)
+    return {"commands": commands, "files": files}
+
+
 def _digest(parts: list) -> str:
     digest = _Digest()
     for part in parts:
@@ -245,7 +290,7 @@ def _digest(parts: list) -> str:
 
 def _cases() -> list[str]:
     keys = [f"{group}/{name}" for group in SCENE_GROUPS for name in SCENE_OUTPUTS]
-    return keys + ["random/validate_scene", "tiny/match_evaluate"]
+    return keys + ["random/validate_scene", "tiny/match_evaluate", "cli/commands", "cli/files"]
 
 
 def _compute(key: str) -> str:
@@ -254,6 +299,8 @@ def _compute(key: str) -> str:
         return _digest(_validate_parts())
     if key == "tiny/match_evaluate":
         return _digest(_match_parts())
+    if group == "cli":
+        return _digest(_cli_parts()[name])
     return _digest(_group_parts(group)[name])
 
 
