@@ -2,13 +2,14 @@
 
 Everything here is an immutable value: numpy payloads are copied on
 construction and marked read-only, so instances are safe to share across
-threads and to use as fixture data. Three private caches fill on first use
-and never change what a value means: a map the library has just built holds
-only its crop on its support box and builds its full frame on first access,
-a scene keeps each instance's support box once a read has found it, and a
-scene keeps its gt depth order for the last threshold and gt confidence it
-was scored at. All are deterministic functions of the value (and of that
-key), so threads that race to fill them fill in equal data.
+threads and to use as fixture data. A map holds its frame shape, support box
+and crop from construction and caches only values: a map the library has
+just built builds its full frame on first access. Two private caches of a
+scene fill on first use: each instance's support box once a read has found
+it, and the gt depth order for the last threshold and gt confidence the
+scene was scored at. All caches are deterministic functions of the value
+(and of that key) and never change what it means, so threads that race to
+fill them fill in equal data.
 
 This module alone knows how scenes and maps sit in memory. A scene's stacks
 are a (depth, height, width) int32 array whose plane k holds each pixel's
@@ -22,7 +23,6 @@ becomes a full frame through _paste.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -303,22 +303,25 @@ class LayerStackScene:
         """
         records = []
         pixels = []
-        seen: set[int] = set()
+        boxes: dict[int, Optional[_Box]] = {}
         for record, mask in layers:
-            if record.id in seen:
+            if record.id in boxes:
                 raise ValueError(f"duplicate instance id {record.id}")
-            seen.add(record.id)
             if mask.width != width or mask.height != height:
                 raise DimensionMismatchError(
                     f"mask for instance {record.id} is {mask.width}x{mask.height}, "
                     f"scene is {width}x{height}"
                 )
-            pixels.append(np.flatnonzero(mask.bits))
+            index = np.flatnonzero(mask.bits)
             # an id that no pixel uses never enters the stacks, so it may exceed int32
-            if record.id > _INT32_MAX and pixels[-1].size:
+            if record.id > _INT32_MAX and index.size:
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
+            # rows from the first and last of the ascending indices, columns from all
+            cols = index % width
+            boxes[record.id] = (int(index[0]) // width, int(index[-1]) // width + 1,
+                                int(cols.min()), int(cols.max()) + 1) if index.size else None
+            pixels.append(index)
             records.append(record)
-        boxes = {record.id: _box_of(mask.bits) for record, mask in layers}
         sizes = np.array([p.size for p in pixels], dtype=np.intp)
         # 0 stands in for an id that no pixel uses, so such an id never meets numpy
         ids = np.array([r.id if n else 0 for r, n in zip(records, sizes)], dtype=np.int32)
@@ -496,16 +499,17 @@ class SemDistMap(_FrozenGrid):
 
     The support box is the smallest box around the values whose bit pattern
     is not +0.0, so a -0.0 counts as inside; outside it every value is +0.0.
-    A map is its frame shape, its support box and the read-only crop of its
-    values on that box; per-map work (decoding, and pair work on the
-    intersection of two boxes) reads the crop only. values is a cache: a
-    map built from a full frame keeps that frame, finds its box on first
-    use and crops a view of the frame; a map the library builds holds the
-    box and crop alone, and builds values on first access as +0.0 with the
-    crop pasted in. The first frame stored is the one every later access
-    returns, so threads racing to build it all get one read-only array;
-    racing box finds compute equal boxes. Shape checks, equality (shape,
-    box and crop bits) and pickling never build a frame.
+    A map is its frame shape, its support box (_support_box, None when
+    every value is +0.0) and the read-only crop of its values on that box
+    (_crop, None without a box), all set when it is built; per-map work
+    (decoding, and pair work on the intersection of two boxes) reads the
+    crop only. values is the one cache: a map built from a full frame keeps
+    that frame, and its crop is a view of it; a map the library builds
+    holds the box and crop alone, and builds values on first access as
+    +0.0 with the crop pasted in. The first frame stored is the one every
+    later access returns, so threads racing to build it all get one
+    read-only array. Shape checks, equality (shape, box and crop bits) and
+    pickling never build a frame.
     """
 
     values: np.ndarray
@@ -520,18 +524,11 @@ class SemDistMap(_FrozenGrid):
         if not (values < 1.0).all():
             raise ValueError("map values must be strictly below 1")
 
-    @cached_property
-    def _support_box(self) -> Optional[_Box]:
-        """Support box, or None when every value is +0.0; found on first use
-        for a map built from a frame."""
-        return _box_of(self.values.view(np.uint32) != 0)
-
-    @cached_property
-    def _crop(self) -> Optional[np.ndarray]:
-        """Read-only values on the support box, None without one; a view of
-        the frame for a map built from a frame."""
-        box = self._support_box
-        return None if box is None else self.values[_window(box)]
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        box = _box_of(self.values.view(np.uint32) != 0)
+        crop = None if box is None else self.values[_window(box)]
+        self.__dict__.update(_support_box=box, _crop=crop)
 
     @classmethod
     def _from_crop(

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semdist import (
+    DEFAULT_THRESHOLD,
     LEVEL_ABSENT,
     BinaryMask,
     GenConfig,
@@ -36,8 +37,10 @@ from semdist import (
     order_accuracy,
     order_regions,
     perturb_semdist,
+    read_semdist,
     scene_from_dict,
     scene_to_dict,
+    semdist_from_bytes,
     semdist_from_layering,
     semdist_to_bytes,
     instance_layering_target,
@@ -258,6 +261,115 @@ def test_public_constructor_fills_the_frame_and_crops_a_view_of_it():
     assert not np.shares_memory(semdist.values, values)
     assert not semdist._crop.flags.writeable
     assert SemDistMap(np.zeros((2, 2), F))._crop is None
+
+
+def _state_frames():
+    """A frame with a -0.0 inside its box, one with a -0.0 on its box's
+    edge, and an all-+0.0 frame."""
+    inside = np.zeros((5, 7), F)
+    inside[1:4, 2:6] = F(0.8) - F(1)
+    inside[2, 3] = F(-0.0)
+    edge = np.zeros((3, 4), F)
+    edge[0, 1], edge[2, 3] = F(0.5), F(-0.0)
+    return [inside, edge, np.zeros((2, 3), F)]
+
+
+def ref_perturbed(frames, c=DEFAULT_THRESHOLD):
+    """perturb_semdist at level_flip_prob 1.0 on full frames: in ascending
+    id order, every pair swaps its integer parts on its joint overlap."""
+    out = {i: frame.copy() for i, frame in frames.items()}
+    for a, b in combinations(sorted(out), 2):
+        va, vb = out[a], out[b]
+        floor_a, floor_b = np.floor(va), np.floor(vb)
+        frac_a, frac_b = va - floor_a, vb - floor_b
+        omega = frac_a * frac_b > np.float64(c) * np.float64(c)
+        va[omega] = (frac_a + floor_b)[omega]
+        vb[omega] = (frac_b + floor_a)[omega]
+    return out
+
+
+def _read_file(frame, tmp_path):
+    path = tmp_path / "map.sdm"
+    path.write_bytes(semdist_to_bytes(SemDistMap(frame)))
+    return read_semdist(path)
+
+
+def _scenes():
+    """A generated scene, and one listing two ids that no pixel holds."""
+    return [_generated(), _masks_scene()]
+
+
+def _encoded(_):
+    return [(encode_semdist(s, i), ref_encoded(s, i)) for s in _scenes() for i in s.ids()]
+
+
+def _from_layering(_):
+    return [(semdist_from_layering(instance_layering_target(s, i, 8)), ref_encoded(s, i))
+            for s in _scenes() for i in s.ids()]
+
+
+def _perturbed(_):
+    cases = []
+    for scene in _scenes():
+        maps = [(i, encode_semdist(scene, i)) for i in scene.ids()]
+        pred = perturb_semdist(maps, PerturbConfig(level_flip_prob=1.0, seed=2))
+        assert any(a is not b for (_, a), (_, b) in zip(maps, pred))
+        want = ref_perturbed({i: ref_encoded(scene, i) for i in scene.ids()})
+        cases += [(m, want[i]) for i, m in pred]
+    return cases
+
+
+# constructor -> (tmp_path -> [(map untouched since it was built, frame it holds)])
+MAP_CONSTRUCTORS = {
+    "SemDistMap": lambda _: [(SemDistMap(f), f) for f in _state_frames()],
+    "semdist_from_bytes": lambda _: [
+        (semdist_from_bytes(semdist_to_bytes(SemDistMap(f))), f) for f in _state_frames()
+    ],
+    "read_semdist": lambda tmp: [(_read_file(f, tmp), f) for f in _state_frames()],
+    "encode_semdist": _encoded,
+    "semdist_from_layering": _from_layering,
+    "perturb_semdist": _perturbed,
+}
+FROM_FRAMES = {"SemDistMap", "semdist_from_bytes", "read_semdist"}
+
+
+def assert_state_from_construction(semdist, frame):
+    """The instance already holds the support box and crop of frame."""
+    state = vars(semdist)
+    assert "_support_box" in state and "_crop" in state
+    box = ref_box(_bits(frame) != 0)
+    assert state["_support_box"] == box
+    if box is None:
+        assert state["_crop"] is None
+        return
+    y0, y1, x0, x1 = box
+    crop = state["_crop"]
+    assert crop.dtype == F and not crop.flags.writeable
+    assert np.array_equal(_bits(crop), _bits(frame[y0:y1, x0:x1]))
+
+
+@pytest.mark.parametrize("name", MAP_CONSTRUCTORS)
+def test_every_constructor_sets_the_box_and_crop(name, tmp_path):
+    cases = MAP_CONSTRUCTORS[name](tmp_path)
+    assert any(ref_box(_bits(frame) != 0) is None for _, frame in cases)
+    for semdist, frame in cases:
+        assert_state_from_construction(semdist, frame)
+        state = vars(semdist)
+        # a map built from a frame keeps it, and its crop is a view of it
+        assert ("values" in state) == (name in FROM_FRAMES)
+        if "values" in state and state["_crop"] is not None:
+            assert np.shares_memory(state["_crop"], state["values"])
+
+
+@pytest.mark.parametrize("roundtrip", [
+    lambda m: pickle.loads(pickle.dumps(m)),
+    copy.deepcopy,
+    copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_round_trips_set_the_box_and_crop(roundtrip, tmp_path):
+    for make in MAP_CONSTRUCTORS.values():
+        for semdist, frame in make(tmp_path):
+            assert_state_from_construction(roundtrip(semdist), frame)
 
 
 def test_shape_and_equality_never_build_the_frame():
