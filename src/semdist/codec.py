@@ -26,7 +26,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _Box, _FrozenGrid, _box_of, _instance_hits, _local, _paste, _window
+from .types import _Box, _FrozenGrid, _box_of, _instance_levels, _local, _paste, _window
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -171,22 +171,6 @@ def _confidence(policy: PolicyLike, height: int, width: int) -> Union[np.ndarray
     if policy.grid_values is None:
         return np.float32(policy.constant)
     return policy.grid(height, width)
-
-
-def _instance_levels(
-    scene: LayerStackScene, instance_id: int
-) -> tuple[Optional[_Box], Optional[np.ndarray]]:
-    """Support box of the instance and its levels on that box (LEVEL_ABSENT
-    where it is missing), from one compare of the stacks; (None, None) when
-    no pixel holds the instance."""
-    box, hits = _instance_hits(scene, instance_id)
-    if box is None:
-        return None, None
-    levels = np.full(hits.shape[1:], LEVEL_ABSENT, dtype=np.int32)
-    # back to front, so the front-most level wins
-    for depth in reversed(range(hits.shape[0])):
-        levels[hits[depth]] = depth
-    return box, levels
 
 
 def visibility_levels(scene: LayerStackScene, instance_id: int) -> np.ndarray:

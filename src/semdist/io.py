@@ -23,9 +23,10 @@ digits, or any failed check) goes to scene_from_dict(json.loads(text)), so
 the result, or the error and its path, is the same either way.
 
 Both scene readers check the stacks as per-pixel cells and hand them to the
-one scatter in types; both writers take them from the one gather there.
-types owns how stacks and map crops sit in memory, and this module never
-allocates or reshapes a stacks array.
+scene as they are (LayerStackScene._from_cells); both writers take the cells
+from the scene's entries (types._scene_cells), and neither side builds the
+dense stacks. types owns how scenes and map crops sit in memory: a map read
+from SDM bytes keeps only its support box's crop, copied from the buffer.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _INT32_MAX, _ranks, _stack_cells, _stacks_from_cells
-
-_INTP_MAX = int(np.iinfo(np.intp).max)  # the most elements an array can index
+from .types import _INT32_MAX, _INTP_MAX, _ranks, _scene_cells
 
 __all__ = [
     "SDM_MAGIC",
@@ -253,7 +252,7 @@ def _scene_fields(scene: LayerStackScene) -> dict:
 def scene_to_dict(scene: LayerStackScene, stacks: str = "sparse") -> dict:
     """Scene as a JSON-ready dict; stacks is either "sparse" or "dense"."""
     dense = _stack_form(stacks)
-    pixels, lengths, ids = _stack_cells(scene.stacks, dense)
+    pixels, lengths, ids = _scene_cells(scene, dense)
     ends = np.cumsum(lengths).tolist()
     cells = list(map(getitem, repeat(ids.tolist()), map(slice, [0] + ends[:-1], ends)))
     return {
@@ -427,11 +426,10 @@ def _stacked_scene(
         if not lengths.all() or int(pixels.max()) >= width * height:
             return None
     try:
-        stacks = _stacks_from_cells(height, width, pixels, lengths, ids)
-    except (ValueError, MemoryError) as exc:
+        return LayerStackScene._from_cells(width, height, records, pixels, lengths, ids)
+    except ValueError as exc:
         depth = int(lengths.max(initial=0))
         raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc
-    return LayerStackScene(width, height, records, stacks)
 
 
 def scene_from_dict(doc) -> LayerStackScene:
@@ -554,7 +552,7 @@ def write_scene(scene: LayerStackScene, path: PathLike, stacks: str = "sparse") 
     fields = _scene_fields(scene)
     width = fields.pop("width")
     head = _dump_json(fields)  # ends "\n}\n"; "stacks" and "width" sort after its keys
-    block = _stacks_text(*_stack_cells(scene.stacks, dense), dense)
+    block = _stacks_text(*_scene_cells(scene, dense), dense)
     text = f'{head[:-3]},\n  "stacks": {block},\n  "width": {json.dumps(width)}\n}}\n'
     Path(path).write_text(text, encoding="utf-8")
 
@@ -703,7 +701,7 @@ def semdist_from_bytes(data: bytes) -> SemDistMap:
         raise SdmFormatError(f"payload is {len(data)} bytes, expected {expected}")
     values = np.frombuffer(data, dtype="<f4", offset=_SDM_HEADER.size)
     try:
-        return SemDistMap(values.reshape((height, width)))
+        return SemDistMap._from_frame(values.reshape((height, width)))
     except ValueError as exc:
         raise SdmFormatError(f"invalid map values: {exc}") from exc
 

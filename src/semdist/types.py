@@ -4,20 +4,26 @@ Everything here is an immutable value: numpy payloads are copied on
 construction and marked read-only, so instances are safe to share across
 threads and to use as fixture data. A map holds its frame shape, support box
 and crop from construction and caches only values: a map the library has
-just built builds its full frame on first access. Two private caches of a
-scene fill on first use: each instance's support box once a read has found
-it, and the gt depth order for the last threshold and gt confidence the
-scene was scored at. All caches are deterministic functions of the value
-(and of that key) and never change what it means, so threads that race to
-fill them fill in equal data.
+just built builds its full frame on first access. A scene holds its
+occupied stack entries from construction, and three private caches of it
+fill on first use: its dense stacks, each instance's support box once a read
+has found it, and the gt depth order for the last threshold and gt
+confidence the scene was scored at. All caches are deterministic functions
+of the value (and of that key) and never change what it means, so threads
+that race to fill them fill in equal data.
 
-This module alone knows how scenes and maps sit in memory. A scene's stacks
-are a (depth, height, width) int32 array whose plane k holds each pixel's
-(k + 1)-th id from the front, 0 past the end of its stack. Its cells are the
-occupied (or all) row-major pixel indices, their stack lengths and all their
-ids front to back in one flat array; _stacks_from_cells scatters cells into
-stacks and _stack_cells gathers them back. Every crop on a support box
-becomes a full frame through _paste.
+This module alone knows how scenes and maps sit in memory. A scene's dense
+stacks are a (depth, height, width) int32 array whose plane k holds each
+pixel's (k + 1)-th id from the front, 0 past the end of its stack. The scene
+itself holds only the occupied slots of that array as entries: each entry is
+a slot, the flat index depth * height * width + y * width + x, and the id
+held there. The entries are sorted by id and then by slot, so one
+instance's entries are one run, found by binary search, that lists them
+depth by depth from the front and row-major within a depth. Cells are the
+occupied (or all) row-major pixel indices, their stack lengths and all
+their ids front to back in one flat array: the scene readers hand cells to
+LayerStackScene._from_cells, and the writers take them from _scene_cells.
+Every crop on a support box becomes a full frame through _paste.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ LEVEL_ABSENT = -1
 """Sentinel used in integer level grids for pixels where an instance is absent."""
 
 _INT32_MAX = int(np.iinfo(np.int32).max)  # stacks are int32
+_INTP_MAX = int(np.iinfo(np.intp).max)  # the most elements an array can index
 
 
 class SemDistError(Exception):
@@ -121,22 +128,26 @@ class _FrozenGrid:
             raise ValueError(f"{self._noun} grid has a 0-length axis: shape {grid.shape}")
         self._check(grid)
         grid.setflags(write=False)
-        object.__setattr__(self, self._field, grid)
-        object.__setattr__(self, "_shape", grid.shape)
+        self._hold(grid)
 
     @staticmethod
     def _check(grid: np.ndarray) -> None:
         """Raise ValueError on values the type does not allow."""
 
+    def _hold(self, grid: np.ndarray) -> None:
+        """Keep a checked, read-only grid as the payload, with the state
+        derived from it."""
+        self.__dict__.update({self._field: grid, "_shape": grid.shape})
+
     @classmethod
     def _fresh(cls, grid: np.ndarray):
         """Wrap a grid that no one else holds, of the type's dtype and rank
-        and with no 0-length axis, without copying it; it is checked and made
-        read-only as the constructor would."""
+        and with no 0-length axis, without copying it; it is checked, made
+        read-only and held as the constructor would."""
         cls._check(grid)
         grid.setflags(write=False)
         wrapped = object.__new__(cls)
-        wrapped.__dict__.update({cls._field: grid, "_shape": grid.shape})
+        wrapped._hold(grid)
         return wrapped
 
     @property
@@ -210,30 +221,45 @@ def _ranks(lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _stacks_from_cells(
-    height: int, width: int, pixels: Optional[np.ndarray], lengths: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
-    """Stacks as deep as the longest cell, holding the flat ids cell by cell,
-    front to back, at the cells' pixel indices (None: a cell per pixel, in
-    order). The cells must fit the frame. Raises ValueError or MemoryError
-    where no array of that shape can be held."""
-    depth = int(lengths.max(initial=0))
-    stacks = np.zeros((depth, height, width), dtype=np.int32)
-    cell = np.arange(lengths.size).repeat(lengths)
-    pixel = cell if pixels is None else np.asarray(pixels, dtype=np.intp).take(cell)
-    stacks.reshape(depth, height * width)[_ranks(lengths), pixel] = ids
-    return stacks
+def _pixel_box(pixels: np.ndarray, width: int) -> Optional[_Box]:
+    """Smallest box around row-major pixel indices of a frame this wide;
+    None when there are none. The rows are those of the least and greatest
+    index."""
+    if not pixels.size:
+        return None
+    cols = pixels % width
+    return (int(pixels.min()) // width, int(pixels.max()) // width + 1,
+            int(cols.min()), int(cols.max()) + 1)
 
 
-def _stack_cells(stacks: np.ndarray, dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells of the stacks: the occupied pixels, or every pixel when dense,
-    with empty slots dropped."""
-    depth, height, width = stacks.shape
-    flat = stacks.reshape(depth, height * width)
-    pixels = np.arange(flat.shape[1]) if dense else np.flatnonzero(flat.any(axis=0))
-    columns = flat[:, pixels].T
-    filled = columns != 0
-    return pixels, filled.sum(axis=1), columns[filled]
+def _grouped(slots: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (slot, id) entries sorted by id and then by slot: by one
+    argsort of an int64 key where every key fits, else by lexsort."""
+    if not ids.size:
+        return slots, ids
+    low = int(ids.min())
+    size = int(slots.max()) + 1
+    if (int(ids.max()) - low + 1) * size <= _INTP_MAX:
+        order = ((ids.astype(np.intp) - low) * size + slots).argsort()
+    else:
+        order = np.lexsort((slots, ids))
+    return slots[order], ids[order]
+
+
+def _scene_cells(scene: "LayerStackScene", dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of the scene's stacks: the occupied pixels in order, or every
+    pixel when dense, their stack lengths and their ids front to back, with
+    empty slots dropped."""
+    area = scene.height * scene.width
+    depth, pixel = np.divmod(scene._slots, area)
+    # slots are distinct, so so are the keys: pixel by pixel, front to back
+    order = (pixel * (int(depth.max(initial=0)) + 1) + depth).argsort()
+    pixel = pixel[order]
+    ids = scene._ids[order]
+    if dense:
+        return np.arange(area), np.bincount(pixel, minlength=area), ids
+    starts = np.flatnonzero(np.diff(pixel, prepend=-1))
+    return pixel[starts], np.diff(starts, append=pixel.size), ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,15 +268,24 @@ class LayerStackScene:
 
     ``stacks`` has shape (depth, height, width); the front-most entry sits at
     depth index 0 and 0 marks an empty slot. Trailing all-empty depth planes
-    are trimmed on construction so equal scenes hold equal arrays.
+    are trimmed, so equal scenes hold equal arrays. The constructor takes
+    any such array, gaps, repeated, negative and unlisted ids included.
+
+    A scene holds only the occupied slots of its stacks, as entries grouped
+    by id (see the module docstring). stacks is built from the entries on
+    first access, read-only, and the first array stored is the one every
+    later access returns, so threads racing to build it all get one array.
+    The constructor keeps no array it is given. from_layers and the scene
+    readers hand over their entries without building the stacks, and
+    per-instance reads, depth_counts, equality, pickling and the scene
+    writers read the entries alone.
 
     The scene also carries the support boxes of its instances in _boxes:
     the smallest box around the pixels whose stack holds an id, or None when
     no pixel does. from_layers knows every box from its masks. In any other
-    scene, the first read of an instance compares all of the stacks, as it
-    must to find the instance, and keeps the box it finds; every later read
-    compares the stacks on that box only. The boxes take no part in
-    equality. Threads that read one instance at once find the same box.
+    scene, the first read of an instance finds its box from the instance's
+    entries and keeps it. The boxes take no part in equality. Threads that
+    read one instance at once find the same box.
 
     The scene also keeps, in _gt_orders, the gt depth order of its
     overlapping instance pairs for the last (c, gt_confidence) that
@@ -267,26 +302,67 @@ class LayerStackScene:
     stacks: np.ndarray
 
     def __post_init__(self) -> None:
+        self._check_head()
+        stacks = np.asarray(self.stacks, dtype=np.int32)
+        if stacks.ndim != 3 or stacks.shape[1:] != (self.height, self.width):
+            raise ValueError(
+                f"stacks must have shape (depth, {self.height}, {self.width}), "
+                f"got {stacks.shape}"
+            )
+        flat = stacks.reshape(-1)
+        slots = np.flatnonzero(flat)
+        del self.__dict__["stacks"]  # built again from the entries on first access
+        self._keep(*_grouped(slots, flat[slots]))
+
+    def _check_head(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"scene must be at least 1x1, got {self.width}x{self.height}")
         instances = tuple(self.instances)
         for record in instances:
             if not isinstance(record, InstanceRecord):
                 raise ValueError(f"instances must be InstanceRecord, got {record!r}")
-        stacks = np.array(self.stacks, dtype=np.int32)
-        if stacks.ndim != 3 or stacks.shape[1:] != (self.height, self.width):
-            raise ValueError(
-                f"stacks must have shape (depth, {self.height}, {self.width}), "
-                f"got {stacks.shape}"
-            )
-        occupied = np.flatnonzero(stacks.any(axis=(1, 2)))
-        depth = int(occupied[-1]) + 1 if occupied.size else 0
-        stacks = np.ascontiguousarray(stacks[:depth])
-        stacks.setflags(write=False)
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "_boxes", {})
-        object.__setattr__(self, "_gt_orders", None)
+        self.__dict__["instances"] = instances
+
+    def _keep(self, slots: np.ndarray, ids: np.ndarray) -> None:
+        """Hold intp slots and their int32 ids, sorted by id and then by
+        slot. They are made read-only, so no one may keep them writable."""
+        slots.setflags(write=False)
+        ids.setflags(write=False)
+        self.__dict__.update(_slots=slots, _ids=ids, _boxes={}, _gt_orders=None)
+
+    @classmethod
+    def _of_entries(
+        cls, width: int, height: int, instances: Sequence[InstanceRecord], slots: np.ndarray,
+        ids: np.ndarray,
+    ) -> "LayerStackScene":
+        """The scene of these entries, as _keep takes them."""
+        scene = object.__new__(cls)
+        scene.__dict__.update(width=width, height=height, instances=instances)
+        scene._check_head()
+        scene._keep(slots, ids)
+        return scene
+
+    @classmethod
+    def _from_cells(
+        cls,
+        width: int,
+        height: int,
+        instances: Sequence[InstanceRecord],
+        pixels: Optional[np.ndarray],
+        lengths: np.ndarray,
+        ids: np.ndarray,
+    ) -> "LayerStackScene":
+        """The scene whose stacks hold the flat ids cell by cell, front to
+        back, at the cells' pixel indices (None: a cell per pixel, in
+        order). The cells must fit the frame and hold no id twice, and the
+        ids must fit int32. Raises ValueError where the stacks are too big
+        for numpy to shape, as it refuses such an array even with no planes."""
+        depth = int(lengths.max(initial=0))
+        if max(depth, 1) * height * width * 4 > _INTP_MAX:  # 4 bytes per int32 slot
+            raise ValueError("the stacks are larger than the maximum possible array size")
+        pixel = (np.arange(lengths.size) if pixels is None else pixels.astype(np.intp)).repeat(lengths)
+        slots = _ranks(lengths) * (height * width) + pixel
+        return cls._of_entries(width, height, instances, *_grouped(slots, ids.astype(np.int32)))
 
     @classmethod
     def from_layers(
@@ -302,8 +378,10 @@ class LayerStackScene:
         duplicates by construction.
         """
         records = []
-        pixels = []
+        runs: list[tuple[int, np.ndarray]] = []  # (id, slots) of every instance a pixel holds
         boxes: dict[int, Optional[_Box]] = {}
+        area = height * width
+        count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
         for record, mask in layers:
             if record.id in boxes:
                 raise ValueError(f"duplicate instance id {record.id}")
@@ -316,25 +394,29 @@ class LayerStackScene:
             # an id that no pixel uses never enters the stacks, so it may exceed int32
             if record.id > _INT32_MAX and index.size:
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
-            # rows from the first and last of the ascending indices, columns from all
-            cols = index % width
-            boxes[record.id] = (int(index[0]) // width, int(index[-1]) // width + 1,
-                                int(cols.min()), int(cols.max()) + 1) if index.size else None
-            pixels.append(index)
+            boxes[record.id] = _pixel_box(index, width)
             records.append(record)
-        sizes = np.array([p.size for p in pixels], dtype=np.intp)
-        # 0 stands in for an id that no pixel uses, so such an id never meets numpy
-        ids = np.array([r.id if n else 0 for r, n in zip(records, sizes)], dtype=np.int32)
-        # stable, so each pixel's ids stay in layer order: front to back
-        flat = np.concatenate([np.empty(0, dtype=np.intp), *pixels])
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        starts = np.flatnonzero(np.diff(flat, prepend=-1))
-        lengths = np.diff(starts, append=flat.size)
-        stacks = _stacks_from_cells(height, width, flat[starts], lengths, ids.repeat(sizes)[order])
-        scene = cls(width, height, tuple(records), stacks)
+            if index.size:
+                depth = count[index]
+                count[index] = depth + 1
+                runs.append((record.id, np.sort(depth * area + index)))  # depth by depth
+        runs.sort(key=lambda run: run[0])
+        slots = np.concatenate([np.empty(0, dtype=np.intp), *(s for _, s in runs)])
+        ids = np.array([i for i, _ in runs], dtype=np.int32).repeat([s.size for _, s in runs])
+        scene = cls._of_entries(width, height, tuple(records), slots, ids)
         scene._boxes.update(boxes)
         return scene
+
+    def __getattr__(self, name: str):
+        # reached only for names missing from the instance: stacks before its first build
+        if name != "stacks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        area = self.height * self.width
+        depth = int(self._slots.max()) // area + 1 if self._slots.size else 0
+        stacks = np.zeros((depth, self.height, self.width), dtype=np.int32)
+        stacks.reshape(-1)[self._slots] = self._ids
+        stacks.setflags(write=False)
+        return self.__dict__.setdefault("stacks", stacks)
 
     def ids(self) -> tuple[int, ...]:
         return tuple(record.id for record in self.instances)
@@ -354,7 +436,9 @@ class LayerStackScene:
 
     def depth_counts(self) -> np.ndarray:
         """Per-pixel stack lengths as an (height, width) int32 grid."""
-        return (self.stacks != 0).sum(axis=0, dtype=np.int32)
+        area = self.height * self.width
+        counts = np.bincount(self._slots % area, minlength=area).astype(np.int32)
+        return counts.reshape(self.height, self.width)
 
     def max_depth(self) -> int:
         return int(self.depth_counts().max())
@@ -366,11 +450,16 @@ class LayerStackScene:
             self.width == other.width
             and self.height == other.height
             and self.instances == other.instances
-            and self.stacks.shape == other.stacks.shape
-            and bool(np.array_equal(self.stacks, other.stacks))
+            and bool(np.array_equal(self._slots, other._slots))
+            and bool(np.array_equal(self._ids, other._ids))
         )
 
     __hash__ = None
+
+    def __reduce__(self):
+        return type(self)._of_entries, (
+            self.width, self.height, self.instances, self._slots, self._ids
+        )
 
 
 @dataclass(frozen=True)
@@ -447,33 +536,59 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
     return violations
 
 
-def _instance_hits(
+def _instance_slots(scene: LayerStackScene, instance_id: int) -> tuple[Optional[_Box], np.ndarray]:
+    """(box, slots) for a listed instance: its support box (None when no
+    pixel holds it) and the slots of its entries, depth by depth from the
+    front and row-major within a depth. The first read of an instance finds
+    its box from those slots and keeps it. Raises UnknownInstanceError for
+    an id the scene does not list."""
+    scene.record_of(instance_id)
+    slots = scene._slots[:0]  # a listed id past int32 is in no stack
+    if instance_id <= _INT32_MAX:
+        key = np.int32(instance_id)  # a Python int would convert all of the ids
+        slots = scene._slots[scene._ids.searchsorted(key) : scene._ids.searchsorted(key, "right")]
+    if instance_id not in scene._boxes:
+        scene._boxes[instance_id] = _pixel_box(slots % (scene.height * scene.width), scene.width)
+    return scene._boxes[instance_id], slots
+
+
+def _instance_levels(
     scene: LayerStackScene, instance_id: int
 ) -> tuple[Optional[_Box], Optional[np.ndarray]]:
-    """(box, hits) for a listed instance: its support box, and the (depth,
-    rows, cols) grid of where the stacks hold it on that box; (None, None)
-    when no pixel holds it. Only the read that finds the support box
-    compares all of the stacks; later reads compare the box alone. Raises
-    UnknownInstanceError for an id the scene does not list."""
-    scene.record_of(instance_id)
-    if instance_id not in scene._boxes:
-        hits = scene.stacks == instance_id
-        box = scene._boxes[instance_id] = _box_of(np.logical_or.reduce(hits, axis=0))
-        return box, None if box is None else hits[(slice(None), *_window(box))]
-    box = scene._boxes[instance_id]
-    return box, None if box is None else scene.stacks[(slice(None), *_window(box))] == instance_id
+    """Support box of the instance and its levels on that box (LEVEL_ABSENT
+    where it is missing), from its entries; (None, None) when no pixel holds
+    the instance. The levels are a window of whole frame rows, so an
+    entry's place in those rows is its slot less a constant per depth. The
+    depths are written back to front, so where an id sits twice in one
+    stack the front-most level wins."""
+    box, slots = _instance_slots(scene, instance_id)
+    if box is None:
+        return None, None
+    area, width = scene.height * scene.width, scene.width
+    rows = np.empty((box[1] - box[0], width), dtype=np.int32)
+    levels = rows[:, box[2] : box[3]]
+    levels.fill(LEVEL_ABSENT)  # every entry lies in these columns, so the rest stays unread
+    flat = rows.reshape(-1)
+    end, depth = slots.size, int(slots[-1]) // area
+    while end:
+        start = int(slots.searchsorted(depth * area))
+        flat[slots[start:end] - (depth * area + box[0] * width)] = depth
+        end, depth = start, depth - 1
+    return box, levels
 
 
 def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMask, BinaryMask]:
-    """Amodal and visible mask of one instance, from one compare of the
-    stacks."""
-    box, hits = _instance_hits(scene, instance_id)
-    amodal = visible = None
-    if hits is not None:
-        amodal, visible = np.logical_or.reduce(hits, axis=0), hits[0]
+    """Amodal and visible mask of one instance, from its entries: the
+    pixels of all of them, and of those at depth 0, whose slots are their
+    pixels."""
+    _, slots = _instance_slots(scene, instance_id)
+    area = scene.height * scene.width
+    amodal = np.zeros(area, dtype=bool)
+    amodal[slots % area] = True
+    visible = np.zeros(area, dtype=bool)
+    visible[slots[: slots.searchsorted(area)]] = True
     shape = (scene.height, scene.width)
-    return (BinaryMask._fresh(_paste(shape, box, amodal, np.False_)),
-            BinaryMask._fresh(_paste(shape, box, visible, np.False_)))
+    return BinaryMask._fresh(amodal.reshape(shape)), BinaryMask._fresh(visible.reshape(shape))
 
 
 def amodal_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
@@ -503,10 +618,11 @@ class SemDistMap(_FrozenGrid):
     every value is +0.0) and the read-only crop of its values on that box
     (_crop, None without a box), all set when it is built; per-map work
     (decoding, and pair work on the intersection of two boxes) reads the
-    crop only. values is the one cache: a map built from a full frame keeps
-    that frame, and its crop is a view of it; a map the library builds
-    holds the box and crop alone, and builds values on first access as
-    +0.0 with the crop pasted in. The first frame stored is the one every
+    crop only. values is the one cache: a map the constructor (or _fresh)
+    built from a full frame keeps that frame, and its crop is a view of it;
+    a map read from bytes or built by the library holds the box and crop
+    alone, and builds values on first access as +0.0 with the crop pasted
+    in. The first frame stored is the one every
     later access returns, so threads racing to build it all get one
     read-only array. Shape checks, equality (shape, box and crop bits) and
     pickling never build a frame.
@@ -524,11 +640,20 @@ class SemDistMap(_FrozenGrid):
         if not (values < 1.0).all():
             raise ValueError("map values must be strictly below 1")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        box = _box_of(self.values.view(np.uint32) != 0)
-        crop = None if box is None else self.values[_window(box)]
-        self.__dict__.update(_support_box=box, _crop=crop)
+    def _hold(self, values: np.ndarray) -> None:
+        super()._hold(values)
+        box = _box_of(values.view(np.uint32) != 0)
+        self.__dict__.update(_support_box=box, _crop=None if box is None else values[_window(box)])
+
+    @classmethod
+    def _from_frame(cls, frame: np.ndarray) -> "SemDistMap":
+        """Map of a float32 frame that others may hold, such as a read-only
+        view of a file's bytes: the box is found on the frame's bits, and
+        only the crop is copied and checked, as outside it every value is
+        +0.0."""
+        box = _box_of(frame.view(np.uint32) != 0)
+        crop = None if box is None else np.array(frame[_window(box)], dtype=np.float32)
+        return cls._from_crop(frame.shape, box, crop)
 
     @classmethod
     def _from_crop(

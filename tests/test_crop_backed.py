@@ -1,6 +1,9 @@
-"""Scenes carry their instance boxes and maps hold only their box crop.
+"""Scenes hold their occupied stack entries and carry their instance boxes,
+and maps hold only their box crop.
 
-The boxes of a scene must be those of its stacks, however the scene was
+A scene's entries must give every read what its dense stacks give, and no
+library path may build those stacks. The boxes of a scene must be those of
+its stacks, however the scene was
 made and whichever read found them, and every per-instance read must equal
 its full-stack expression, both on the read that finds the box and on the
 reads that use it. A
@@ -11,8 +14,12 @@ pasted in, bit for bit. Grids are compared as uint32 or int32 views, so
 """
 
 import copy
+import json
 import pickle
+import tempfile
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,20 +40,27 @@ from semdist import (
     decode_modal,
     encode_scene,
     encode_semdist,
+    evaluate,
     generate,
     order_accuracy,
     order_regions,
     perturb_semdist,
+    read_scene,
     read_semdist,
+    scene_annotations,
     scene_from_dict,
     scene_to_dict,
     semdist_from_bytes,
     semdist_from_layering,
     semdist_to_bytes,
     instance_layering_target,
+    validate_scene,
     visibility_levels,
     visible_mask_of,
+    write_scene,
 )
+
+from semdist.types import _instance_slots
 
 from _util import race
 
@@ -186,14 +200,18 @@ def test_zero_depth_scene_has_no_boxes():
 
 
 @st.composite
-def _raw_scenes(draw):
-    """Any stacks the plain constructor takes: gaps, repeats within a stack
-    and unlisted ids included."""
+def _raw_parts(draw):
+    """(width, height, records, stacks) of any stacks the plain constructor
+    takes: gaps, repeats within a stack and unlisted ids included."""
     depth, height, width = draw(st.integers(0, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
     cells = st.lists(st.integers(0, 5), min_size=depth * height * width, max_size=depth * height * width)
     stacks = np.array(draw(cells), np.int32).reshape(depth, height, width)
     ids = draw(st.lists(st.integers(1, 6), unique=True, max_size=5))
-    return LayerStackScene(width, height, tuple(InstanceRecord(i) for i in ids), stacks)
+    return width, height, tuple(InstanceRecord(i) for i in ids), stacks
+
+
+def _raw_scenes():
+    return _raw_parts().map(lambda parts: LayerStackScene(*parts))
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -207,6 +225,153 @@ def test_random_scene_reads_equal_their_full_stack_expressions(scene):
 def test_generated_scene_reads_equal_their_full_stack_expressions(seed, width, height):
     scene = generate(GenConfig(seed=seed, width=width, height=height, object_count_range=(1, 8)))
     assert_reads_match_stacks(scene)
+
+
+# ---------------------------------------------------------------------------
+# scene entries
+
+
+def ref_trimmed(stacks):
+    """The stacks with their trailing all-empty planes dropped."""
+    occupied = np.flatnonzero(stacks.any(axis=(1, 2)))
+    return stacks[: occupied[-1] + 1 if occupied.size else 0]
+
+
+def ref_violations(records, stacks):
+    """(kind, pixel, id) of validate_scene's findings, by walking the dense
+    array as its docstring describes."""
+    found, seen = [], set()
+    for record in records:
+        if record.id in seen:
+            found.append(("duplicate_instance", None, record.id))
+        seen.add(record.id)
+    depth, height, width = stacks.shape
+    firsts = {}
+    for d in range(depth):
+        for y in range(height):
+            for x in range(width):
+                firsts.setdefault(int(stacks[d, y, x]), (x, y))
+    for uid in sorted(firsts):
+        if uid != 0 and uid not in seen:
+            found.append(("invalid_id" if uid < 0 else "unknown_id", firsts[uid], uid))
+    repeated = {}
+    for y in range(height):
+        for x in range(width):
+            column = [int(v) for v in stacks[:, y, x] if v != 0]
+            for uid in sorted({v for v in column if column.count(v) > 1}):
+                repeated.setdefault(uid, (y * width + x, (x, y)))
+    for uid, (_, pixel) in sorted(repeated.items(), key=lambda item: (item[1][0], item[0])):
+        found.append(("duplicate_id_in_stack", pixel, uid))
+    gaps = [(x, y) for d in range(depth - 1) for y in range(height) for x in range(width)
+            if stacks[d, y, x] == 0 and stacks[d + 1, y, x] != 0]
+    if gaps:
+        found.append(("gap_in_stack", gaps[0], None))
+    return found
+
+
+def ref_scene_doc(width, height, records, stacks, form):
+    """scene_to_dict of the scene of these parts, from the dense array."""
+    cells = {}
+    for y in range(height):
+        for x in range(width):
+            column = [int(v) for v in stacks[:, y, x] if v != 0]
+            if column or form == "dense":
+                cells[y * width + x] = column
+    return {
+        "width": width,
+        "height": height,
+        "instances": [{"id": r.id, "category": r.category} for r in records],
+        "stacks": list(cells.values()) if form == "dense" else {str(k): v for k, v in cells.items()},
+    }
+
+
+def assert_stacks_unbuilt(scene):
+    assert "stacks" not in vars(scene)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_raw_parts(), _raw_parts())
+def test_random_scene_entries_equal_their_dense_array(parts, other_parts):
+    width, height, records, stacks = parts
+    scene = LayerStackScene(*parts)
+    # the scene keeps no array it was given; every read below but stacks uses the entries
+    assert_stacks_unbuilt(scene)
+    assert scene == LayerStackScene(width, height, records, np.concatenate([stacks, 0 * stacks]))
+    other = LayerStackScene(*other_parts)
+    same = (other_parts[:3] == parts[:3]
+            and np.array_equal(ref_trimmed(other_parts[3]), ref_trimmed(stacks)))
+    assert (scene == other) == (other == scene) == same
+    for form in ("sparse", "dense"):
+        want = ref_scene_doc(width, height, records, stacks, form)
+        assert scene_to_dict(scene, form) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            write_scene(scene, Path(tmp) / "scene.json", form)
+            text = (Path(tmp) / "scene.json").read_text(encoding="utf-8")
+        assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    dense = SimpleNamespace(stacks=ref_trimmed(stacks), width=width, height=height)
+    for instance_id in scene.ids():
+        for read, ref in READS.values():
+            assert np.array_equal(read(scene, instance_id), ref(dense, instance_id))
+        assert np.array_equal(_bits(encode_semdist(scene, instance_id).values),
+                              _bits(ref_encoded(dense, instance_id)))
+    assert np.array_equal(scene.depth_counts(), (stacks != 0).sum(axis=0))
+    assert_stacks_unbuilt(scene)
+    for twin in (pickle.loads(pickle.dumps(scene)), copy.deepcopy(scene), copy.copy(scene)):
+        assert twin == scene and twin.ids() == scene.ids()
+        assert_stacks_unbuilt(twin)
+        assert np.array_equal(twin.stacks, ref_trimmed(stacks))
+    assert scene.stacks.dtype == np.int32 and not scene.stacks.flags.writeable
+    assert np.array_equal(scene.stacks, ref_trimmed(stacks)) and scene.stacks is scene.stacks
+    assert [(v.kind, v.pixel, v.instance_id) for v in validate_scene(scene)] == ref_violations(
+        records, stacks)
+    for y in range(height):
+        for x in range(width):
+            assert scene.stack_at(x, y) == tuple(int(v) for v in stacks[:, y, x] if v != 0)
+
+
+def test_library_paths_never_build_the_stacks(tmp_path):
+    scene = generate(GenConfig(seed=11, width=96, height=96, object_count_range=(8, 12),
+                               size_range=(0.15, 0.4)))
+    for form in ("sparse", "dense"):
+        write_scene(scene, tmp_path / f"{form}.json", form)
+    scenes = [scene, read_scene(tmp_path / "sparse.json"), read_scene(tmp_path / "dense.json")]
+    for each in scenes:
+        assert_stacks_unbuilt(each)
+        maps = encode_scene(each)
+        assert maps == {i: encode_semdist(each, i) for i in each.ids()}
+        gt = scene_annotations(each)
+        pred = perturb_semdist(sorted(maps.items()), PerturbConfig(level_flip_prob=0.5, seed=3))
+        evaluate([gt], [gt], order_items=[(each, pred)])
+        order_accuracy(each, pred)
+        for form in ("sparse", "dense"):
+            write_scene(each, tmp_path / "again.json", form)
+            assert (tmp_path / "again.json").read_bytes() == (tmp_path / f"{form}.json").read_bytes()
+        assert each == scene and scene == each
+        assert_stacks_unbuilt(each)
+
+
+def test_threads_building_one_scene_stacks_share_one_array():
+    scene = _generated()
+    for _ in range(5):
+        fresh = _plain(scene)
+        seen = race(lambda: fresh.stacks)
+        assert all(stacks is fresh.stacks for stacks in seen)
+        assert np.array_equal(fresh.stacks, scene.stacks)
+
+
+def test_scene_reads_past_the_int32_slot_range_without_its_stacks():
+    # 2**32 pixels with a 2-deep stack: the entries alone are held, and the
+    # (id, slot) keys of ids 1 and 2**31 - 1 no longer fit one int64
+    side, last = 2**16, 2**31 - 1
+    doc = {"width": side, "height": side,
+           "instances": [{"id": 1, "category": None}, {"id": last, "category": None}],
+           "stacks": {str(side * side - 1): [1, last], "7": [last]}}
+    scene = scene_from_dict(doc)
+    assert _instance_slots(scene, 1)[0] == (side - 1, side, side - 1, side)
+    assert _instance_slots(scene, last)[0] == (0, side, 7, side)
+    assert scene_to_dict(scene) == doc
+    assert scene == scene_from_dict(scene_to_dict(scene))
+    assert_stacks_unbuilt(scene)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +487,7 @@ def _perturbed(_):
 # constructor -> (tmp_path -> [(map untouched since it was built, frame it holds)])
 MAP_CONSTRUCTORS = {
     "SemDistMap": lambda _: [(SemDistMap(f), f) for f in _state_frames()],
+    "SemDistMap._fresh": lambda _: [(SemDistMap._fresh(f.copy()), f) for f in _state_frames()],
     "semdist_from_bytes": lambda _: [
         (semdist_from_bytes(semdist_to_bytes(SemDistMap(f))), f) for f in _state_frames()
     ],
@@ -330,7 +496,8 @@ MAP_CONSTRUCTORS = {
     "semdist_from_layering": _from_layering,
     "perturb_semdist": _perturbed,
 }
-FROM_FRAMES = {"SemDistMap", "semdist_from_bytes", "read_semdist"}
+# only the constructors that wrap a frame keep it; a reader copies the crop alone
+FROM_FRAMES = {"SemDistMap", "SemDistMap._fresh"}
 
 
 def assert_state_from_construction(semdist, frame):
@@ -355,7 +522,7 @@ def test_every_constructor_sets_the_box_and_crop(name, tmp_path):
     for semdist, frame in cases:
         assert_state_from_construction(semdist, frame)
         state = vars(semdist)
-        # a map built from a frame keeps it, and its crop is a view of it
+        # a map the constructor built from a frame keeps it, and its crop is a view of it
         assert ("values" in state) == (name in FROM_FRAMES)
         if "values" in state and state["_crop"] is not None:
             assert np.shares_memory(state["_crop"], state["values"])
