@@ -223,7 +223,8 @@ def instance_color(instance_id: int) -> tuple[int, int, int]:
 
 
 def render(scene: LayerStackScene) -> np.ndarray:
-    """Flat-color render: front-most instance wins, empty pixels are black."""
+    """Flat-color render: front-most instance wins, empty pixels are black.
+    Reads scene.stacks, so the scene builds and keeps its dense stacks."""
     image = np.zeros((scene.height, scene.width, 3), dtype=np.uint8)
     if scene.stacks.shape[0] == 0:
         return image

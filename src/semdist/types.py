@@ -128,26 +128,22 @@ class _FrozenGrid:
             raise ValueError(f"{self._noun} grid has a 0-length axis: shape {grid.shape}")
         self._check(grid)
         grid.setflags(write=False)
-        self._hold(grid)
+        object.__setattr__(self, self._field, grid)
+        object.__setattr__(self, "_shape", grid.shape)
 
     @staticmethod
     def _check(grid: np.ndarray) -> None:
         """Raise ValueError on values the type does not allow."""
 
-    def _hold(self, grid: np.ndarray) -> None:
-        """Keep a checked, read-only grid as the payload, with the state
-        derived from it."""
-        self.__dict__.update({self._field: grid, "_shape": grid.shape})
-
     @classmethod
     def _fresh(cls, grid: np.ndarray):
         """Wrap a grid that no one else holds, of the type's dtype and rank
-        and with no 0-length axis, without copying it; it is checked, made
-        read-only and held as the constructor would."""
+        and with no 0-length axis, without copying it; it is checked and made
+        read-only as the constructor would."""
         cls._check(grid)
         grid.setflags(write=False)
         wrapped = object.__new__(cls)
-        wrapped._hold(grid)
+        wrapped.__dict__.update({cls._field: grid, "_shape": grid.shape})
         return wrapped
 
     @property
@@ -233,16 +229,8 @@ def _pixel_box(pixels: np.ndarray, width: int) -> Optional[_Box]:
 
 
 def _grouped(slots: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (slot, id) entries sorted by id and then by slot: by one
-    argsort of an int64 key where every key fits, else by lexsort."""
-    if not ids.size:
-        return slots, ids
-    low = int(ids.min())
-    size = int(slots.max()) + 1
-    if (int(ids.max()) - low + 1) * size <= _INTP_MAX:
-        order = ((ids.astype(np.intp) - low) * size + slots).argsort()
-    else:
-        order = np.lexsort((slots, ids))
+    """(slot, id) entries sorted by id and then by slot."""
+    order = np.lexsort((slots, ids))
     return slots[order], ids[order]
 
 
@@ -277,8 +265,10 @@ class LayerStackScene:
     later access returns, so threads racing to build it all get one array.
     The constructor keeps no array it is given. from_layers and the scene
     readers hand over their entries without building the stacks, and
-    per-instance reads, depth_counts, equality, pickling and the scene
-    writers read the entries alone.
+    per-instance reads, stack_at, depth_counts, equality, pickling and the
+    scene writers read the entries alone. validate_scene and
+    compositor.render read stacks, so after either the scene holds its
+    dense stacks as well as its entries.
 
     The scene also carries the support boxes of its instances in _boxes:
     the smallest box around the pixels whose stack holds an id, or None when
@@ -431,8 +421,9 @@ class LayerStackScene:
         """Front-to-back instance ids at one pixel (empty slots dropped)."""
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height} scene")
-        column = self.stacks[:, y, x]
-        return tuple(int(v) for v in column[column != 0])
+        # the pixel's entries; their slots grow with depth
+        here = self._slots % (self.height * self.width) == y * self.width + x
+        return tuple(self._ids[here][self._slots[here].argsort()].tolist())
 
     def depth_counts(self) -> np.ndarray:
         """Per-pixel stack lengths as an (height, width) int32 grid."""
@@ -485,6 +476,8 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
     order. A repeated id is reported at the first pixel, in row-major order,
     whose stack holds it twice, in the order of those pixels. Only the first
     gap is reported, planes first.
+
+    Reads scene.stacks, so the scene builds and keeps its dense stacks.
     """
     violations: list[SceneViolation] = []
 
@@ -618,8 +611,8 @@ class SemDistMap(_FrozenGrid):
     every value is +0.0) and the read-only crop of its values on that box
     (_crop, None without a box), all set when it is built; per-map work
     (decoding, and pair work on the intersection of two boxes) reads the
-    crop only. values is the one cache: a map the constructor (or _fresh)
-    built from a full frame keeps that frame, and its crop is a view of it;
+    crop only. values is the one cache: a map the constructor built from a
+    full frame keeps that frame, and its crop is a view of it;
     a map read from bytes or built by the library holds the box and crop
     alone, and builds values on first access as +0.0 with the crop pasted
     in. The first frame stored is the one every
@@ -640,10 +633,13 @@ class SemDistMap(_FrozenGrid):
         if not (values < 1.0).all():
             raise ValueError("map values must be strictly below 1")
 
-    def _hold(self, values: np.ndarray) -> None:
-        super()._hold(values)
-        box = _box_of(values.view(np.uint32) != 0)
-        self.__dict__.update(_support_box=box, _crop=None if box is None else values[_window(box)])
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        box = _box_of(self.values.view(np.uint32) != 0)
+        crop = None if box is None else self.values[_window(box)]
+        self.__dict__.update(_support_box=box, _crop=crop)
+
+    _fresh = None  # a map holds a box and crop, which _from_crop and _from_frame set
 
     @classmethod
     def _from_frame(cls, frame: np.ndarray) -> "SemDistMap":

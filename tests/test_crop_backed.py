@@ -360,8 +360,7 @@ def test_threads_building_one_scene_stacks_share_one_array():
 
 
 def test_scene_reads_past_the_int32_slot_range_without_its_stacks():
-    # 2**32 pixels with a 2-deep stack: the entries alone are held, and the
-    # (id, slot) keys of ids 1 and 2**31 - 1 no longer fit one int64
+    # 2**32 pixels with a 2-deep stack: the entries alone are held
     side, last = 2**16, 2**31 - 1
     doc = {"width": side, "height": side,
            "instances": [{"id": 1, "category": None}, {"id": last, "category": None}],
@@ -487,7 +486,6 @@ def _perturbed(_):
 # constructor -> (tmp_path -> [(map untouched since it was built, frame it holds)])
 MAP_CONSTRUCTORS = {
     "SemDistMap": lambda _: [(SemDistMap(f), f) for f in _state_frames()],
-    "SemDistMap._fresh": lambda _: [(SemDistMap._fresh(f.copy()), f) for f in _state_frames()],
     "semdist_from_bytes": lambda _: [
         (semdist_from_bytes(semdist_to_bytes(SemDistMap(f))), f) for f in _state_frames()
     ],
@@ -496,8 +494,8 @@ MAP_CONSTRUCTORS = {
     "semdist_from_layering": _from_layering,
     "perturb_semdist": _perturbed,
 }
-# only the constructors that wrap a frame keep it; a reader copies the crop alone
-FROM_FRAMES = {"SemDistMap", "SemDistMap._fresh"}
+# only the constructor wraps a frame and keeps it; a reader copies the crop alone
+FROM_FRAMES = {"SemDistMap"}
 
 
 def assert_state_from_construction(semdist, frame):
@@ -526,6 +524,13 @@ def test_every_constructor_sets_the_box_and_crop(name, tmp_path):
         assert ("values" in state) == (name in FROM_FRAMES)
         if "values" in state and state["_crop"] is not None:
             assert np.shares_memory(state["_crop"], state["values"])
+
+
+def test_maps_offer_no_bare_frame_wrapper():
+    # _fresh wraps a grid alone; a map must also hold its box and crop
+    assert SemDistMap._fresh is None
+    with pytest.raises(TypeError):
+        SemDistMap._fresh(np.zeros((2, 2), F))
 
 
 @pytest.mark.parametrize("roundtrip", [
