@@ -98,20 +98,16 @@ def _output_path(out: str) -> Path:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # every config is checked before the output directory exists
+    configs = [GenConfig(seed=args.seed + index, width=args.width, height=args.height,
+                         object_count_range=args.objects, max_levels=args.max_levels)
+               for index in range(args.count)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = []
-    for index in range(args.count):
-        config = GenConfig(
-            seed=args.seed + index,
-            width=args.width,
-            height=args.height,
-            object_count_range=args.objects,
-            max_levels=args.max_levels,
-        )
-        scene = generate(config)
+    for index, config in enumerate(configs):
         name = f"scene_{index:04d}.json"
-        write_scene(scene, out / name)
+        write_scene(generate(config), out / name)
         names.append(name)
     manifest = {
         "count": args.count,
@@ -130,9 +126,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_encode(args: argparse.Namespace) -> int:
     scene_path = Path(args.scene)
     scene = read_scene(scene_path)
+    maps = encode_scene(scene, args.confidence)  # raises before the output directory exists
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for instance_id, semdist in encode_scene(scene, args.confidence).items():
+    for instance_id, semdist in maps.items():
         write_semdist(semdist, out / f"{scene_path.stem}_{instance_id:04d}.sdm")
     print(f"wrote {len(scene.instances)} maps to {out}")
     return 0

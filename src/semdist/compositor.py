@@ -25,7 +25,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _instance_masks, _local
+from .types import _instance_masks, _instance_slots, _local
 
 __all__ = [
     "SHAPES",
@@ -224,14 +224,14 @@ def instance_color(instance_id: int) -> tuple[int, int, int]:
 
 def render(scene: LayerStackScene) -> np.ndarray:
     """Flat-color render: front-most instance wins, empty pixels are black.
-    Reads scene.stacks, so the scene builds and keeps its dense stacks."""
-    image = np.zeros((scene.height, scene.width, 3), dtype=np.uint8)
-    if scene.stacks.shape[0] == 0:
-        return image
-    top = scene.stacks[0]
+    Colours the depth-0 entries of each listed instance, whose slots are
+    their pixels, so it reads the scene's entries, not its stacks."""
+    area = scene.height * scene.width
+    image = np.zeros((area, 3), dtype=np.uint8)
     for record in scene.instances:
-        image[top == record.id] = instance_color(record.id)
-    return image
+        _, slots = _instance_slots(scene, record.id)
+        image[slots[: slots.searchsorted(area)]] = instance_color(record.id)
+    return image.reshape(scene.height, scene.width, 3)
 
 
 def occlusion_rate(scene: LayerStackScene, instance_id: int) -> float:

@@ -25,8 +25,9 @@ the result, or the error and its path, is the same either way.
 Both scene readers check the stacks as per-pixel cells and hand them to the
 scene as they are (LayerStackScene._from_cells); both writers take the cells
 from the scene's entries (types._scene_cells), and neither side builds the
-dense stacks. types owns how scenes and map crops sit in memory: a map read
-from SDM bytes keeps only its support box's crop, copied from the buffer.
+dense stacks. types owns how scenes and map crops sit in memory: the SDM
+reader hands SemDistMap a read-only view of the bytes, which copies only the
+crop, and the writer pastes the crop into a fresh frame (types._paste).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _INT32_MAX, _INTP_MAX, _ranks, _scene_cells
+from .types import _INT32_MAX, _INTP_MAX, _paste, _ranks, _scene_cells
 
 __all__ = [
     "SDM_MAGIC",
@@ -679,7 +680,8 @@ _SDM_HEADER = struct.Struct("<4sIII")
 
 def semdist_to_bytes(semdist: SemDistMap) -> bytes:
     header = _SDM_HEADER.pack(SDM_MAGIC, semdist.width, semdist.height, 1)
-    return header + semdist.values.astype("<f4").tobytes(order="C")
+    frame = _paste(semdist._shape, semdist._support_box, semdist._crop, np.float32(0.0))
+    return header + frame.astype("<f4", copy=False).tobytes()
 
 
 def semdist_from_bytes(data: bytes) -> SemDistMap:
@@ -701,7 +703,7 @@ def semdist_from_bytes(data: bytes) -> SemDistMap:
         raise SdmFormatError(f"payload is {len(data)} bytes, expected {expected}")
     values = np.frombuffer(data, dtype="<f4", offset=_SDM_HEADER.size)
     try:
-        return SemDistMap._from_frame(values.reshape((height, width)))
+        return SemDistMap(values.reshape((height, width)))
     except ValueError as exc:
         raise SdmFormatError(f"invalid map values: {exc}") from exc
 

@@ -3,14 +3,14 @@
 Everything here is an immutable value: numpy payloads are copied on
 construction and marked read-only, so instances are safe to share across
 threads and to use as fixture data. A map holds its frame shape, support box
-and crop from construction and caches only values: a map the library has
-just built builds its full frame on first access. A scene holds its
-occupied stack entries from construction, and three private caches of it
-fill on first use: its dense stacks, each instance's support box once a read
-has found it, and the gt depth order for the last threshold and gt
-confidence the scene was scored at. All caches are deterministic functions
-of the value (and of that key) and never change what it means, so threads
-that race to fill them fill in equal data.
+and crop from construction, and a scene holds its occupied stack entries.
+Library functions read only entries and crops: a scene's dense stacks and a
+map's full frame (LayerStackScene.stacks, SemDistMap.values) are built only
+when a caller reads them, and then kept. A scene also keeps each instance's
+support box once a read has found it, and the gt depth order for the last
+threshold and gt confidence the scene was scored at. All caches are
+deterministic functions of the value (and of that key) and never change what
+it means, so threads that race to fill them fill in equal data.
 
 This module alone knows how scenes and maps sit in memory. A scene's dense
 stacks are a (depth, height, width) int32 array whose plane k holds each
@@ -53,7 +53,8 @@ __all__ = [
 LEVEL_ABSENT = -1
 """Sentinel used in integer level grids for pixels where an instance is absent."""
 
-_INT32_MAX = int(np.iinfo(np.int32).max)  # stacks are int32
+_INT32_MIN = int(np.iinfo(np.int32).min)  # stacks are int32
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INTP_MAX = int(np.iinfo(np.intp).max)  # the most elements an array can index
 
 
@@ -121,15 +122,20 @@ class _FrozenGrid:
     _shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        grid = np.array(getattr(self, self._field), dtype=self._dtype)
-        if grid.ndim != self._rank:
-            raise ValueError(f"{self._noun} grid must be {self._rank}-D, got {grid.ndim}-D")
-        if 0 in grid.shape:
-            raise ValueError(f"{self._noun} grid has a 0-length axis: shape {grid.shape}")
+        grid = self._shaped(np.array(getattr(self, self._field), dtype=self._dtype))
         self._check(grid)
         grid.setflags(write=False)
         object.__setattr__(self, self._field, grid)
         object.__setattr__(self, "_shape", grid.shape)
+
+    @classmethod
+    def _shaped(cls, grid: np.ndarray) -> np.ndarray:
+        """grid, once it is known to have the type's rank and no 0-length axis."""
+        if grid.ndim != cls._rank:
+            raise ValueError(f"{cls._noun} grid must be {cls._rank}-D, got {grid.ndim}-D")
+        if 0 in grid.shape:
+            raise ValueError(f"{cls._noun} grid has a 0-length axis: shape {grid.shape}")
+        return grid
 
     @staticmethod
     def _check(grid: np.ndarray) -> None:
@@ -257,18 +263,17 @@ class LayerStackScene:
     ``stacks`` has shape (depth, height, width); the front-most entry sits at
     depth index 0 and 0 marks an empty slot. Trailing all-empty depth planes
     are trimmed, so equal scenes hold equal arrays. The constructor takes
-    any such array, gaps, repeated, negative and unlisted ids included.
+    any such array, gaps, repeated, negative and unlisted ids included, and
+    raises ValueError for a value that int32 does not hold exactly.
 
     A scene holds only the occupied slots of its stacks, as entries grouped
-    by id (see the module docstring). stacks is built from the entries on
-    first access, read-only, and the first array stored is the one every
-    later access returns, so threads racing to build it all get one array.
-    The constructor keeps no array it is given. from_layers and the scene
-    readers hand over their entries without building the stacks, and
-    per-instance reads, stack_at, depth_counts, equality, pickling and the
-    scene writers read the entries alone. validate_scene and
-    compositor.render read stacks, so after either the scene holds its
-    dense stacks as well as its entries.
+    by id (see the module docstring), and keeps no array it is given.
+    Library functions read the entries alone: from_layers and the scene
+    readers hand them over, and per-instance reads, stack_at, depth_counts,
+    validate_scene, compositor.render, equality, pickling and the scene
+    writers read them. stacks is built from the entries only when a caller
+    reads it, read-only, and the first array stored is the one every later
+    access returns, so threads racing to build it all get one array.
 
     The scene also carries the support boxes of its instances in _boxes:
     the smallest box around the pixels whose stack holds an id, or None when
@@ -293,7 +298,12 @@ class LayerStackScene:
 
     def __post_init__(self) -> None:
         self._check_head()
-        stacks = np.asarray(self.stacks, dtype=np.int32)
+        stacks = np.asarray(self.stacks)
+        # checked before the cast, which would wrap, truncate or warn
+        fits = (stacks >= _INT32_MIN) & (stacks <= _INT32_MAX) & (np.trunc(stacks) == stacks)
+        if not fits.all():
+            raise ValueError(f"stack value {stacks[~fits][0]} does not fit the int32 stacks")
+        stacks = stacks.astype(np.int32)
         if stacks.ndim != 3 or stacks.shape[1:] != (self.height, self.width):
             raise ValueError(
                 f"stacks must have shape (depth, {self.height}, {self.width}), "
@@ -477,7 +487,7 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
     whose stack holds it twice, in the order of those pixels. Only the first
     gap is reported, planes first.
 
-    Reads scene.stacks, so the scene builds and keeps its dense stacks.
+    Reads the entries, not the stacks: slots order entries planes first.
     """
     violations: list[SceneViolation] = []
 
@@ -488,16 +498,16 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
             violations.append(SceneViolation("duplicate_instance", message, None, record.id))
         seen.add(record.id)
 
-    stacks = scene.stacks
-    if stacks.size == 0:
-        return violations
+    slots, ids, width = scene._slots, scene._ids, scene.width
+    area = scene.height * width
+    pixels = slots % area
 
-    # the first flat index of an id is its first entry, planes first
-    uids, firsts = np.unique(stacks, return_index=True)
-    for uid, first in zip(uids.tolist(), firsts.tolist()):
-        if uid == 0 or uid in seen:
+    # the first entry of each id's run is its first, planes first
+    for first in np.flatnonzero(np.diff(ids, prepend=0)).tolist():
+        uid = int(ids[first])
+        if uid in seen:
             continue
-        _, y, x = (int(v) for v in np.unravel_index(first, stacks.shape))
+        y, x = divmod(int(pixels[first]), width)
         if uid < 0:
             kind, message = "invalid_id", f"stack at ({x}, {y}) holds non-positive id {uid}"
         else:
@@ -505,26 +515,25 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
             message = f"stack at ({x}, {y}) references id {uid} missing from the instance list"
         violations.append(SceneViolation(kind, message, (x, y), uid))
 
-    # duplicate id inside one pixel stack: sort the depth axis and compare
-    # neighbours, then take each id at its first pixel in row-major order
-    if stacks.shape[0] > 1:
-        ordered = np.sort(stacks, axis=0)
-        dup = (ordered[1:] == ordered[:-1]) & (ordered[1:] != 0)
-        _, ys, xs = dup.nonzero()
-        uids = ordered[1:][dup]
-        by_pixel = np.lexsort((uids, ys * scene.width + xs))
-        _, firsts = np.unique(uids[by_pixel], return_index=True)
-        for k in by_pixel[np.sort(firsts)].tolist():
-            uid, x, y = int(uids[k]), int(xs[k]), int(ys[k])
-            message = f"id {uid} occurs twice in the stack at ({x}, {y})"
-            violations.append(SceneViolation("duplicate_id_in_stack", message, (x, y), uid))
+    # an id twice in one stack is an (id, pixel) pair twice: sort the pairs,
+    # take each id at its first such pixel, and report in pixel order
+    order = np.lexsort((pixels, ids))
+    uids, where = ids[order], pixels[order]
+    twice = (uids[1:] == uids[:-1]) & (where[1:] == where[:-1])
+    uids, where = uids[1:][twice], where[1:][twice]
+    firsts = np.flatnonzero(np.diff(uids, prepend=0))
+    for k in firsts[np.lexsort((uids[firsts], where[firsts]))].tolist():
+        uid, (y, x) = int(uids[k]), divmod(int(where[k]), width)
+        message = f"id {uid} occurs twice in the stack at ({x}, {y})"
+        violations.append(SceneViolation("duplicate_id_in_stack", message, (x, y), uid))
 
-    if stacks.shape[0] > 1:
-        gaps = (stacks[:-1] == 0) & (stacks[1:] != 0)
-        if gaps.any():
-            _, y, x = (int(v) for v in np.argwhere(gaps)[0])
-            message = f"stack at ({x}, {y}) has an occupied slot below an empty one"
-            violations.append(SceneViolation("gap_in_stack", message, (x, y)))
+    # a gap is an empty slot right in front of an occupied one
+    fronts = slots[slots >= area] - area
+    gaps = fronts[~np.isin(fronts, slots, assume_unique=True)]
+    if gaps.size:
+        y, x = divmod(int(gaps.min()) % area, width)
+        message = f"stack at ({x}, {y}) has an occupied slot below an empty one"
+        violations.append(SceneViolation("gap_in_stack", message, (x, y)))
 
     return violations
 
@@ -609,16 +618,14 @@ class SemDistMap(_FrozenGrid):
     is not +0.0, so a -0.0 counts as inside; outside it every value is +0.0.
     A map is its frame shape, its support box (_support_box, None when
     every value is +0.0) and the read-only crop of its values on that box
-    (_crop, None without a box), all set when it is built; per-map work
-    (decoding, and pair work on the intersection of two boxes) reads the
-    crop only. values is the one cache: a map the constructor built from a
-    full frame keeps that frame, and its crop is a view of it;
-    a map read from bytes or built by the library holds the box and crop
-    alone, and builds values on first access as +0.0 with the crop pasted
-    in. The first frame stored is the one every
-    later access returns, so threads racing to build it all get one
-    read-only array. Shape checks, equality (shape, box and crop bits) and
-    pickling never build a frame.
+    (_crop, None without a box), all set when it is built: SemDistMap(values),
+    which the file reader calls, finds the box on the frame and copies and
+    checks only the crop. Library functions (decoding, pair work on the
+    intersection of two boxes, shape checks, equality by shape, box and crop
+    bits, pickling and the file writer) read the crop alone. values is built
+    only when a caller reads it, as +0.0 with the crop pasted in; the first
+    frame stored is the one every later access returns, so threads racing
+    to build it all get one read-only array.
     """
 
     values: np.ndarray
@@ -634,22 +641,12 @@ class SemDistMap(_FrozenGrid):
             raise ValueError("map values must be strictly below 1")
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        box = _box_of(self.values.view(np.uint32) != 0)
-        crop = None if box is None else self.values[_window(box)]
-        self.__dict__.update(_support_box=box, _crop=crop)
-
-    _fresh = None  # a map holds a box and crop, which _from_crop and _from_frame set
-
-    @classmethod
-    def _from_frame(cls, frame: np.ndarray) -> "SemDistMap":
-        """Map of a float32 frame that others may hold, such as a read-only
-        view of a file's bytes: the box is found on the frame's bits, and
-        only the crop is copied and checked, as outside it every value is
-        +0.0."""
+        # outside the box every value is +0.0, so only the crop needs a check
+        frame = self._shaped(np.asarray(self.__dict__.pop("values"), dtype=np.float32))
         box = _box_of(frame.view(np.uint32) != 0)
-        crop = None if box is None else np.array(frame[_window(box)], dtype=np.float32)
-        return cls._from_crop(frame.shape, box, crop)
+        self._hold(frame.shape, box, None if box is None else np.array(frame[_window(box)]))
+
+    _fresh = None  # a map holds a box and crop, which the constructor and _from_crop set
 
     @classmethod
     def _from_crop(
@@ -657,14 +654,17 @@ class SemDistMap(_FrozenGrid):
     ) -> "SemDistMap":
         """Map on a frame of the given shape holding crop on box and +0.0
         elsewhere, without copying crop. box must be the support box of that
-        frame (None with crop None: every value is +0.0); only the crop is
-        checked, and it is made read-only."""
-        if crop is not None:
-            cls._check(crop)
-            crop.setflags(write=False)
+        frame (None with crop None: every value is +0.0)."""
         semdist = object.__new__(cls)
-        semdist.__dict__.update(_shape=tuple(shape), _support_box=box, _crop=crop)
+        semdist._hold(shape, box, crop)
         return semdist
+
+    def _hold(self, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray]) -> None:
+        """Keep shape, box and crop; only the crop is checked, then made read-only."""
+        if crop is not None:
+            self._check(crop)
+            crop.setflags(write=False)
+        self.__dict__.update(_shape=tuple(shape), _support_box=box, _crop=crop)
 
     def __getattr__(self, name: str):
         # reached only for names missing from the instance: values before its first build

@@ -95,6 +95,15 @@ def test_encode_bad_confidence_exits_one_without_instances(tmp_path, capsys):
     out = tmp_path / "maps"
     assert main(["encode", "--scene", str(scene_path), "--confidence", "1.5", "--out", str(out)]) == 1
     assert "confidence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_bad_config_exits_one_without_its_directory(tmp_path, capsys):
+    out = tmp_path / "scenes"
+    assert main(["generate", "--count", "2", "--width", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
 
 
 def test_encode_confidence_lost_at_depth_exits_one_and_writes_nothing(tmp_path, scene_file, capsys):
@@ -102,7 +111,7 @@ def test_encode_confidence_lost_at_depth_exits_one_and_writes_nothing(tmp_path, 
     out = tmp_path / "maps"
     assert main(["encode", "--scene", str(scene_file), "--confidence", "1e-8", "--out", str(out)]) == 1
     assert "at level 1 does not survive float32 rounding at pixel (0, 1)" in capsys.readouterr().err
-    assert not list(out.glob("*.sdm"))
+    assert not out.exists()
 
 
 def test_decode_modes(tmp_path, scene_file):

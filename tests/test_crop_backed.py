@@ -2,15 +2,15 @@
 and maps hold only their box crop.
 
 A scene's entries must give every read what its dense stacks give, and no
-library path may build those stacks. The boxes of a scene must be those of
-its stacks, however the scene was
+library path, validate_scene and render included, may build those stacks.
+The boxes of a scene must be those of its stacks, however the scene was
 made and whichever read found them, and every per-instance read must equal
 its full-stack expression, both on the read that finds the box and on the
-reads that use it. A
-map the library builds must keep its frame unbuilt through the whole codec
-path; when the frame is built it must be the +0.0 frame with the crop
-pasted in, bit for bit. Grids are compared as uint32 or int32 views, so
-+0.0 and -0.0 differ.
+reads that use it. No map holds its frame until a caller reads values,
+however it was built, and no library path (the codec, the SDM writer and
+readers) builds it; when the frame is built it must be the +0.0 frame with
+the crop pasted in, bit for bit. Grids are compared as uint32 or int32
+views, so +0.0 and -0.0 differ.
 """
 
 import copy
@@ -47,6 +47,7 @@ from semdist import (
     perturb_semdist,
     read_scene,
     read_semdist,
+    render,
     scene_annotations,
     scene_from_dict,
     scene_to_dict,
@@ -58,7 +59,9 @@ from semdist import (
     visibility_levels,
     visible_mask_of,
     write_scene,
+    write_semdist,
 )
+from semdist.compositor import instance_color
 
 from semdist.types import _instance_slots
 
@@ -202,9 +205,9 @@ def test_zero_depth_scene_has_no_boxes():
 @st.composite
 def _raw_parts(draw):
     """(width, height, records, stacks) of any stacks the plain constructor
-    takes: gaps, repeats within a stack and unlisted ids included."""
+    takes: gaps, repeats within a stack, negative and unlisted ids included."""
     depth, height, width = draw(st.integers(0, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    cells = st.lists(st.integers(0, 5), min_size=depth * height * width, max_size=depth * height * width)
+    cells = st.lists(st.integers(-1, 5), min_size=depth * height * width, max_size=depth * height * width)
     stacks = np.array(draw(cells), np.int32).reshape(depth, height, width)
     ids = draw(st.lists(st.integers(1, 6), unique=True, max_size=5))
     return width, height, tuple(InstanceRecord(i) for i in ids), stacks
@@ -269,6 +272,16 @@ def ref_violations(records, stacks):
     return found
 
 
+def ref_render(records, stacks):
+    """render of the scene of these parts: its front plane, coloured per
+    listed id, black elsewhere."""
+    front = ref_trimmed(stacks)[:1]
+    image = np.zeros((*stacks.shape[1:], 3), np.uint8)
+    for record in records:
+        image[(front == record.id).any(axis=0)] = instance_color(record.id)
+    return image
+
+
 def ref_scene_doc(width, height, records, stacks, form):
     """scene_to_dict of the scene of these parts, from the dense array."""
     cells = {}
@@ -315,6 +328,9 @@ def test_random_scene_entries_equal_their_dense_array(parts, other_parts):
         assert np.array_equal(_bits(encode_semdist(scene, instance_id).values),
                               _bits(ref_encoded(dense, instance_id)))
     assert np.array_equal(scene.depth_counts(), (stacks != 0).sum(axis=0))
+    assert [(v.kind, v.pixel, v.instance_id) for v in validate_scene(scene)] == ref_violations(
+        records, stacks)
+    assert np.array_equal(render(scene), ref_render(records, stacks))
     assert_stacks_unbuilt(scene)
     for twin in (pickle.loads(pickle.dumps(scene)), copy.deepcopy(scene), copy.copy(scene)):
         assert twin == scene and twin.ids() == scene.ids()
@@ -322,8 +338,6 @@ def test_random_scene_entries_equal_their_dense_array(parts, other_parts):
         assert np.array_equal(twin.stacks, ref_trimmed(stacks))
     assert scene.stacks.dtype == np.int32 and not scene.stacks.flags.writeable
     assert np.array_equal(scene.stacks, ref_trimmed(stacks)) and scene.stacks is scene.stacks
-    assert [(v.kind, v.pixel, v.instance_id) for v in validate_scene(scene)] == ref_violations(
-        records, stacks)
     for y in range(height):
         for x in range(width):
             assert scene.stack_at(x, y) == tuple(int(v) for v in stacks[:, y, x] if v != 0)
@@ -343,6 +357,8 @@ def test_library_paths_never_build_the_stacks(tmp_path):
         pred = perturb_semdist(sorted(maps.items()), PerturbConfig(level_flip_prob=0.5, seed=3))
         evaluate([gt], [gt], order_items=[(each, pred)])
         order_accuracy(each, pred)
+        assert validate_scene(each) == []
+        assert np.array_equal(render(each), render(scene))
         for form in ("sparse", "dense"):
             write_scene(each, tmp_path / "again.json", form)
             assert (tmp_path / "again.json").read_bytes() == (tmp_path / f"{form}.json").read_bytes()
@@ -415,16 +431,18 @@ def test_library_maps_hold_only_their_crop_until_values_is_read():
             values[0, 0] = 0.5
 
 
-def test_public_constructor_fills_the_frame_and_crops_a_view_of_it():
+def test_public_constructor_copies_only_the_crop():
     values = np.zeros((4, 5), F)
     values[1:3, 2:4] = F(0.9) - F(1)
     semdist = SemDistMap(values)
-    assert "values" in semdist.__dict__
+    assert_unbuilt(semdist)
     assert semdist._support_box == (1, 3, 2, 4)
-    assert np.shares_memory(semdist._crop, semdist.values)
-    assert not np.shares_memory(semdist.values, values)
+    assert not np.shares_memory(semdist._crop, values)
     assert not semdist._crop.flags.writeable
+    values[2, 3] = F(0.5)  # the map keeps no array it was given
+    assert semdist._crop[1, 1] == F(0.9) - F(1)
     assert SemDistMap(np.zeros((2, 2), F))._crop is None
+    assert SemDistMap([[0.0, 0.5]]) == SemDistMap(np.array([[0.0, 0.5]], F))
 
 
 def _state_frames():
@@ -494,10 +512,6 @@ MAP_CONSTRUCTORS = {
     "semdist_from_layering": _from_layering,
     "perturb_semdist": _perturbed,
 }
-# only the constructor wraps a frame and keeps it; a reader copies the crop alone
-FROM_FRAMES = {"SemDistMap"}
-
-
 def assert_state_from_construction(semdist, frame):
     """The instance already holds the support box and crop of frame."""
     state = vars(semdist)
@@ -519,11 +533,8 @@ def test_every_constructor_sets_the_box_and_crop(name, tmp_path):
     assert any(ref_box(_bits(frame) != 0) is None for _, frame in cases)
     for semdist, frame in cases:
         assert_state_from_construction(semdist, frame)
-        state = vars(semdist)
-        # a map the constructor built from a frame keeps it, and its crop is a view of it
-        assert ("values" in state) == (name in FROM_FRAMES)
-        if "values" in state and state["_crop"] is not None:
-            assert np.shares_memory(state["_crop"], state["values"])
+        # every constructor holds the box and crop alone; none keeps a frame
+        assert_unbuilt(semdist)
 
 
 def test_maps_offer_no_bare_frame_wrapper():
@@ -587,12 +598,11 @@ def test_maps_round_trip_without_building_their_frame(roundtrip):
     maps = [m for m, _ in _library_maps()]
     maps.append(SemDistMap(np.array([[0.5, -0.0], [0.0, F(0.7) - F(2)]], F)))
     for semdist in maps:
-        was_built = "values" in semdist.__dict__
         back = roundtrip(semdist)
         assert back == semdist and back._support_box == semdist._support_box
-        # the frame is a cache: a round trip carries the crop alone
+        # a round trip carries the crop alone
         assert_unbuilt(back)
-        assert ("values" in semdist.__dict__) == was_built
+        assert_unbuilt(semdist)
         if back._crop is not None:
             assert not back._crop.flags.writeable
         assert not back.values.flags.writeable
@@ -602,6 +612,19 @@ def test_maps_round_trip_without_building_their_frame(roundtrip):
 def test_file_bytes_are_those_of_the_full_frame():
     for semdist, want in _library_maps():
         assert semdist_to_bytes(semdist) == semdist_to_bytes(SemDistMap(want))
+
+
+def test_sdm_writers_and_readers_build_no_frame(tmp_path):
+    cases = _library_maps() + [(SemDistMap(f), f) for f in _state_frames()]
+    for semdist, want in cases:
+        data = semdist_to_bytes(semdist)
+        write_semdist(semdist, tmp_path / "map.sdm")
+        assert_unbuilt(semdist)
+        assert data[16:] == want.astype("<f4").tobytes()
+        for back in (semdist_from_bytes(data), read_semdist(tmp_path / "map.sdm")):
+            assert_unbuilt(back)
+            assert back == semdist and semdist_to_bytes(back) == data
+            assert_unbuilt(back)
 
 
 def test_threads_building_one_frame_share_one_array():

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,32 @@ class TestLayerStackScene:
         assert scene.ids() == (2**70, 3)
         assert scene.stacks.tolist() == [[[3, 3], [3, 3]]]
         assert amodal_mask_of(scene, 2**70).area() == 0
+
+    @pytest.mark.parametrize(
+        "stacks, shown",
+        [
+            (np.array([[[2**31 + 5]]], np.int64), "2147483653"),
+            (np.array([[[-(2**31) - 1]]], np.int64), "-2147483649"),
+            (np.array([[[2**63]]], np.uint64), "9223372036854775808"),
+            (np.array([[[1.7]]]), "1.7"),
+            (np.array([[[np.inf]]]), "inf"),
+            (np.array([[[np.nan]]]), "nan"),
+            ([[[2**31]]], "2147483648"),
+            ([[[2**70]]], str(2**70)),
+        ],
+        ids=["int64", "int64-low", "uint64", "fraction", "inf", "nan", "list", "list-past-int64"],
+    )
+    def test_constructor_rejects_values_int32_does_not_hold(self, stacks, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN raises before the cast could warn
+            with pytest.raises(ValueError, match=f"stack value {shown} does not fit the int32 stacks"):
+                LayerStackScene(1, 1, (), stacks)
+
+    def test_constructor_keeps_integral_values_of_any_dtype(self):
+        for stacks in (np.ones((1, 1, 2)), [[[2**31 - 1, -(2**31)]]], np.array([[[1, 0]]], np.uint64)):
+            scene = LayerStackScene(2, 1, (), stacks)
+            assert scene.stacks.dtype == np.int32
+            assert scene.stacks.tolist() == np.asarray(stacks).astype(np.int64).tolist()
 
     def test_from_layers_zero_width_rejected(self):
         with pytest.raises(ValueError, match="at least 1x1"):
