@@ -512,6 +512,8 @@ MAP_CONSTRUCTORS = {
     "semdist_from_layering": _from_layering,
     "perturb_semdist": _perturbed,
 }
+
+
 def assert_state_from_construction(semdist, frame):
     """The instance already holds the support box and crop of frame."""
     state = vars(semdist)
