@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .types import (
     LEVEL_ABSENT,
@@ -372,16 +371,46 @@ class OrderRegions:
     largest_behind_region: int
 
 
-_FOUR_CONNECTED = np.array(
-    [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool
-)  # 4-connectivity: no diagonal adjacency
-
-
 def _largest_component(mask: np.ndarray) -> int:
+    """Area of the largest 4-connected component of a 2-D bool mask (0 when
+    the mask is empty), by run-based labelling.
+
+    Each row's runs of True come from one pass over a flat copy with a False
+    column after every row, so no run crosses a row end. Two runs are joined
+    when they sit in adjacent rows and share a column; the runs of the row
+    above that a run touches lie between two searchsorted bounds. A
+    union-find over the runs, whose roots are always the smaller run index,
+    then sums run lengths per component. The work grows with the number of
+    runs and of touching run pairs, not with the pixels: a blobby mask such
+    as a vote region is a few runs per row, but a noise-like mask (a 256x256
+    mask of i.i.d. pixels, about 16k runs) costs several milliseconds.
+    """
     if not mask.any():
         return 0
-    labels, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
-    return int(np.bincount(labels.ravel())[1:].max())
+    height, width = mask.shape
+    stride = width + 1
+    flat = np.zeros(height * stride + 1, dtype=bool)  # flat[0] is False, as is every row's last
+    flat[1:].reshape(height, stride)[:, :width] = mask
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, stops = edges[0::2], edges[1::2]  # [start, stop) of each run in the padded rows
+    # the runs of the row above that overlap a run's columns
+    low = np.searchsorted(stops, starts - stride, side="right")
+    count = np.searchsorted(starts, stops - stride) - low
+    below = np.arange(starts.size).repeat(count)
+    above = np.arange(below.size) - (count.cumsum() - count - low).repeat(count)
+    parent = list(range(starts.size))
+    for a, b in zip(below.tolist(), above.tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a > b:
+            parent[a] = b
+        elif b > a:
+            parent[b] = a
+    for run, up in enumerate(parent):  # up < run, so parent[up] is a root already
+        parent[run] = parent[up]
+    return int(np.bincount(parent, weights=stops - starts).max())
 
 
 def _verdict(front: int, behind: int) -> OrderVerdict:

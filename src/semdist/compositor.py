@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .codec import DEFAULT_THRESHOLD
 from .codec import _pair, _require_exact
@@ -258,9 +258,31 @@ def scene_annotations(scene: LayerStackScene) -> list[InstanceAnnotation]:
     return out
 
 
-def _disk(radius: int) -> np.ndarray:
-    span = np.arange(-radius, radius + 1)
-    return (span[:, None] ** 2 + span[None, :] ** 2) <= radius * radius
+def _disk_morph(bits: np.ndarray, radius: int, erode: bool) -> np.ndarray:
+    """bits eroded (every pixel of the disk set) or dilated (any pixel of it
+    set) by the disk of offsets dx, dy with dx*dx + dy*dy <= radius*radius;
+    pixels outside the frame count as unset.
+
+    Each row dy of the disk is a span of columns -s..s with s =
+    isqrt(radius*radius - dy*dy). A span is widened by one column on each
+    side per step, and each disk row's span, shifted by its dy, is combined
+    into the result once, so the work is about 4*radius + 1 slice operations
+    on a copy padded with False.
+    """
+    combine = np.logical_and if erode else np.logical_or
+    height, width = bits.shape
+    padded = np.zeros((height + 2 * radius, width + 2 * radius), dtype=bool)
+    padded[radius:radius + height, radius:radius + width] = bits
+    span, s = padded[:, radius:radius + width], 0  # padded rows combined over columns x-s..x+s
+    out = None
+    for dy in sorted(range(-radius, radius + 1), key=abs, reverse=True):  # so s only grows
+        while s < isqrt(radius * radius - dy * dy):
+            s += 1
+            span = combine(span, padded[:, radius - s:radius - s + width])
+            span = combine(span, padded[:, radius + s:radius + s + width], out=span)
+        rows = span[radius + dy:radius + dy + height]
+        out = rows.copy() if out is None else combine(out, rows, out=out)
+    return out
 
 
 def perturb(
@@ -287,9 +309,9 @@ def perturb(
             continue
         amodal = ann.amodal.bits
         if config.erode_radius > 0:
-            amodal = ndimage.binary_erosion(amodal, structure=_disk(config.erode_radius))
+            amodal = _disk_morph(amodal, config.erode_radius, erode=True)
         if config.dilate_radius > 0:
-            amodal = ndimage.binary_dilation(amodal, structure=_disk(config.dilate_radius))
+            amodal = _disk_morph(amodal, config.dilate_radius, erode=False)
         if not amodal.any():
             continue
         visible = amodal & ann.visible.bits

@@ -270,10 +270,10 @@ class LayerStackScene:
     by id (see the module docstring), and keeps no array it is given.
     Library functions read the entries alone: from_layers and the scene
     readers hand them over, and per-instance reads, stack_at, depth_counts,
-    validate_scene, compositor.render, equality, pickling and the scene
-    writers read them. stacks is built from the entries only when a caller
-    reads it, read-only, and the first array stored is the one every later
-    access returns, so threads racing to build it all get one array.
+    validate_scene, compositor.render, equality, pickling, repr and the
+    scene writers read them. stacks is built from the entries only when a
+    caller reads it, read-only, and the first array stored is the one every
+    later access returns, so threads racing to build it all get one array.
 
     The scene also carries the support boxes of its instances in _boxes:
     the smallest box around the pixels whose stack holds an id, or None when
@@ -462,6 +462,12 @@ class LayerStackScene:
             self.width, self.height, self.instances, self._slots, self._ids
         )
 
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(width={self.width}, height={self.height}, "
+            f"ids={self.ids()}, entries={self._ids.size})"
+        )
+
 
 @dataclass(frozen=True)
 class SceneViolation:
@@ -622,10 +628,10 @@ class SemDistMap(_FrozenGrid):
     which the file reader calls, finds the box on the frame and copies and
     checks only the crop. Library functions (decoding, pair work on the
     intersection of two boxes, shape checks, equality by shape, box and crop
-    bits, pickling and the file writer) read the crop alone. values is built
-    only when a caller reads it, as +0.0 with the crop pasted in; the first
-    frame stored is the one every later access returns, so threads racing
-    to build it all get one read-only array.
+    bits, pickling, repr and the file writer) read the crop alone. values is
+    built only when a caller reads it, as +0.0 with the crop pasted in; the
+    first frame stored is the one every later access returns, so threads
+    racing to build it all get one read-only array.
     """
 
     values: np.ndarray
@@ -686,6 +692,9 @@ class SemDistMap(_FrozenGrid):
 
     def __reduce__(self):
         return SemDistMap._from_crop, (self._shape, self._support_box, self._crop)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(shape={self._shape}, box={self._support_box})"
 
 
 @dataclass(frozen=True, eq=False)

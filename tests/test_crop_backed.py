@@ -387,6 +387,21 @@ def test_scene_reads_past_the_int32_slot_range_without_its_stacks():
     assert scene_to_dict(scene) == doc
     assert scene == scene_from_dict(scene_to_dict(scene))
     assert_stacks_unbuilt(scene)
+    assert repr(scene) == f"LayerStackScene(width={side}, height={side}, ids=(1, {last}), entries=3)"
+    assert_stacks_unbuilt(scene)
+
+
+def test_repr_reads_neither_stacks_nor_values():
+    scene = _generated()
+    semdist = encode_semdist(scene, scene.ids()[0])
+    assert repr(scene) == (
+        f"LayerStackScene(width=40, height=32, ids={scene.ids()}, entries={scene._ids.size})"
+    )
+    assert repr(semdist) == f"SemDistMap(shape=(32, 40), box={semdist._support_box})"
+    assert semdist._support_box is not None
+    assert repr(SemDistMap(np.zeros((2, 3), np.float32))) == "SemDistMap(shape=(2, 3), box=None)"
+    assert_stacks_unbuilt(scene)
+    assert "values" not in vars(semdist)
 
 
 # ---------------------------------------------------------------------------
