@@ -25,7 +25,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _instance_masks, _instance_slots, _local
+from .types import _instance_masks, _instance_slots, _local, _searched
 
 __all__ = [
     "SHAPES",
@@ -230,7 +230,7 @@ def render(scene: LayerStackScene) -> np.ndarray:
     image = np.zeros((area, 3), dtype=np.uint8)
     for record in scene.instances:
         _, slots = _instance_slots(scene, record.id)
-        image[slots[: slots.searchsorted(area)]] = instance_color(record.id)
+        image[slots[: _searched(slots, area)]] = instance_color(record.id)
     return image.reshape(scene.height, scene.width, 3)
 
 
@@ -266,21 +266,27 @@ def _disk_morph(bits: np.ndarray, radius: int, erode: bool) -> np.ndarray:
     Each row dy of the disk is a span of columns -s..s with s =
     isqrt(radius*radius - dy*dy). A span is widened by one column on each
     side per step, and each disk row's span, shifted by its dy, is combined
-    into the result once, so the work is about 4*radius + 1 slice operations
-    on a copy padded with False.
+    into the result once, on a copy padded with False. Past the frame the
+    disk reaches only unset pixels: a row |dy| >= height reaches none of the
+    frame and a span s >= width reaches all of a row and some pixel outside
+    it. So rows past |dy| = height and columns past s = width change
+    nothing, and the padding, the rows and the spans stop there: the work
+    is at most 2*min(radius, height) + 2*min(radius, width) + 1 slice
+    operations on at most 9 times the frame, for any radius.
     """
     combine = np.logical_and if erode else np.logical_or
     height, width = bits.shape
-    padded = np.zeros((height + 2 * radius, width + 2 * radius), dtype=bool)
-    padded[radius:radius + height, radius:radius + width] = bits
-    span, s = padded[:, radius:radius + width], 0  # padded rows combined over columns x-s..x+s
+    ry, rx = min(radius, height), min(radius, width)
+    padded = np.zeros((height + 2 * ry, width + 2 * rx), dtype=bool)
+    padded[ry:ry + height, rx:rx + width] = bits
+    span, s = padded[:, rx:rx + width], 0  # padded rows combined over columns x-s..x+s
     out = None
-    for dy in sorted(range(-radius, radius + 1), key=abs, reverse=True):  # so s only grows
-        while s < isqrt(radius * radius - dy * dy):
+    for dy in sorted(range(-ry, ry + 1), key=abs, reverse=True):  # so s only grows
+        while s < min(isqrt(radius * radius - dy * dy), rx):
             s += 1
-            span = combine(span, padded[:, radius - s:radius - s + width])
-            span = combine(span, padded[:, radius + s:radius + s + width], out=span)
-        rows = span[radius + dy:radius + dy + height]
+            span = combine(span, padded[:, rx - s:rx - s + width])
+            span = combine(span, padded[:, rx + s:rx + s + width], out=span)
+        rows = span[ry + dy:ry + dy + height]
         out = rows.copy() if out is None else combine(out, rows, out=out)
     return out
 

@@ -18,11 +18,23 @@ pixel's (k + 1)-th id from the front, 0 past the end of its stack. The scene
 itself holds only the occupied slots of that array as entries: each entry is
 a slot, the flat index depth * height * width + y * width + x, and the id
 held there. The entries are sorted by id and then by slot, so one
-instance's entries are one run, found by binary search, that lists them
-depth by depth from the front and row-major within a depth. Cells are the
-occupied (or all) row-major pixel indices, their stack lengths and all
-their ids front to back in one flat array: the scene readers hand cells to
-LayerStackScene._from_cells, and the writers take them from _scene_cells.
+instance's entries are one run that lists them depth by depth from the front
+and row-major within a depth. The scene keeps the slots in one array and
+the ids as runs: the distinct ids in ascending order and where each one's
+run starts. An instance's run is found by binary search over the run ids,
+and the few readers that need an id per entry rebuild one from the runs and
+drop it. The slots are int32 where every stack plane of the frame fits
+int32, that is where (max depth + 1) * height * width <= 2**31 - 1, and intp
+otherwise, so an entry costs 4 bytes in all but huge frames. Arithmetic on
+int32 slots stays int32, so every value the readers compute from slots (the
+frame area, a plane's offset, the pixel-major sort key of _scene_cells) is
+kept below that bound, and a search in the slots takes its key in their
+dtype (_searched), as a Python int key makes numpy convert them all.
+
+Cells are the occupied (or all) row-major pixel indices, their stack
+lengths and all their ids front to back in one flat array: the scene
+readers hand cells to LayerStackScene._from_cells, and the writers take them
+from _scene_cells.
 Every crop on a support box becomes a full frame through _paste.
 """
 
@@ -234,6 +246,12 @@ def _pixel_box(pixels: np.ndarray, width: int) -> Optional[_Box]:
             int(cols.min()), int(cols.max()) + 1)
 
 
+def _searched(slots: np.ndarray, bound: int) -> int:
+    """How many of the ascending slots lie below bound, a slot value of the
+    scene, searched in the slots' dtype."""
+    return int(slots.searchsorted(slots.dtype.type(bound)))
+
+
 def _grouped(slots: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(slot, id) entries sorted by id and then by slot."""
     order = np.lexsort((slots, ids))
@@ -246,10 +264,11 @@ def _scene_cells(scene: "LayerStackScene", dense: bool) -> tuple[np.ndarray, np.
     empty slots dropped."""
     area = scene.height * scene.width
     depth, pixel = np.divmod(scene._slots, area)
-    # slots are distinct, so so are the keys: pixel by pixel, front to back
+    # slots are distinct, so so are the keys: pixel by pixel, front to back,
+    # and all below planes * area, so in the slots' dtype
     order = (pixel * (int(depth.max(initial=0)) + 1) + depth).argsort()
     pixel = pixel[order]
-    ids = scene._ids[order]
+    ids = scene._entry_ids()[order]
     if dense:
         return np.arange(area), np.bincount(pixel, minlength=area), ids
     starts = np.flatnonzero(np.diff(pixel, prepend=-1))
@@ -267,7 +286,9 @@ class LayerStackScene:
     raises ValueError for a value that int32 does not hold exactly.
 
     A scene holds only the occupied slots of its stacks, as entries grouped
-    by id (see the module docstring), and keeps no array it is given.
+    by id: one array of slots, 4 bytes each wherever the stacks' planes fit
+    int32, and one (id, run start) pair per id (see the module docstring).
+    It keeps no array it is given.
     Library functions read the entries alone: from_layers and the scene
     readers hand them over, and per-instance reads, stack_at, depth_counts,
     validate_scene, compositor.render, equality, pickling, repr and the
@@ -324,11 +345,30 @@ class LayerStackScene:
         self.__dict__["instances"] = instances
 
     def _keep(self, slots: np.ndarray, ids: np.ndarray) -> None:
-        """Hold intp slots and their int32 ids, sorted by id and then by
-        slot. They are made read-only, so no one may keep them writable."""
-        slots.setflags(write=False)
-        ids.setflags(write=False)
-        self.__dict__.update(_slots=slots, _ids=ids, _boxes={}, _gt_orders=None)
+        """Hold the entries given as integer slots and their int32 ids,
+        sorted by id and then by slot: the slots as int32 where every stack
+        plane of the frame fits int32 and as intp otherwise, and the ids as
+        their runs, _run_ids (ascending) and _run_starts (with the entry
+        count appended, so run k is _slots[_run_starts[k]:_run_starts[k + 1]]).
+        The kept arrays are read-only, so no one may keep the slots given
+        writable when they already have the kept dtype."""
+        area = self.height * self.width
+        planes = int(slots.max(initial=0)) // area + 1
+        slots = slots.astype(np.int32 if planes * area <= _INT32_MAX else np.intp, copy=False)
+        new = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        run_ids, run_starts = ids[starts], np.append(starts, ids.size)
+        for kept in (slots, run_ids, run_starts):
+            kept.setflags(write=False)
+        self.__dict__.update(
+            _slots=slots, _run_ids=run_ids, _run_starts=run_starts, _boxes={}, _gt_orders=None
+        )
+
+    def _entry_ids(self) -> np.ndarray:
+        """The id of every entry, rebuilt from the runs for a reader that
+        needs them all; the scene does not keep it."""
+        return self._run_ids.repeat(np.diff(self._run_starts))
 
     @classmethod
     def _of_entries(
@@ -414,7 +454,7 @@ class LayerStackScene:
         area = self.height * self.width
         depth = int(self._slots.max()) // area + 1 if self._slots.size else 0
         stacks = np.zeros((depth, self.height, self.width), dtype=np.int32)
-        stacks.reshape(-1)[self._slots] = self._ids
+        stacks.reshape(-1)[self._slots] = self._entry_ids()
         stacks.setflags(write=False)
         return self.__dict__.setdefault("stacks", stacks)
 
@@ -433,7 +473,7 @@ class LayerStackScene:
             raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height} scene")
         # the pixel's entries; their slots grow with depth
         here = self._slots % (self.height * self.width) == y * self.width + x
-        return tuple(self._ids[here][self._slots[here].argsort()].tolist())
+        return tuple(self._entry_ids()[here][self._slots[here].argsort()].tolist())
 
     def depth_counts(self) -> np.ndarray:
         """Per-pixel stack lengths as an (height, width) int32 grid."""
@@ -452,20 +492,21 @@ class LayerStackScene:
             and self.height == other.height
             and self.instances == other.instances
             and bool(np.array_equal(self._slots, other._slots))
-            and bool(np.array_equal(self._ids, other._ids))
+            and bool(np.array_equal(self._run_ids, other._run_ids))
+            and bool(np.array_equal(self._run_starts, other._run_starts))
         )
 
     __hash__ = None
 
     def __reduce__(self):
         return type(self)._of_entries, (
-            self.width, self.height, self.instances, self._slots, self._ids
+            self.width, self.height, self.instances, self._slots, self._entry_ids()
         )
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(width={self.width}, height={self.height}, "
-            f"ids={self.ids()}, entries={self._ids.size})"
+            f"ids={self.ids()}, entries={self._slots.size})"
         )
 
 
@@ -504,13 +545,12 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
             violations.append(SceneViolation("duplicate_instance", message, None, record.id))
         seen.add(record.id)
 
-    slots, ids, width = scene._slots, scene._ids, scene.width
+    slots, width = scene._slots, scene.width
     area = scene.height * width
     pixels = slots % area
 
     # the first entry of each id's run is its first, planes first
-    for first in np.flatnonzero(np.diff(ids, prepend=0)).tolist():
-        uid = int(ids[first])
+    for uid, first in zip(scene._run_ids.tolist(), scene._run_starts.tolist()):
         if uid in seen:
             continue
         y, x = divmod(int(pixels[first]), width)
@@ -523,6 +563,7 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
 
     # an id twice in one stack is an (id, pixel) pair twice: sort the pairs,
     # take each id at its first such pixel, and report in pixel order
+    ids = scene._entry_ids()
     order = np.lexsort((pixels, ids))
     uids, where = ids[order], pixels[order]
     twice = (uids[1:] == uids[:-1]) & (where[1:] == where[:-1])
@@ -553,8 +594,9 @@ def _instance_slots(scene: LayerStackScene, instance_id: int) -> tuple[Optional[
     scene.record_of(instance_id)
     slots = scene._slots[:0]  # a listed id past int32 is in no stack
     if instance_id <= _INT32_MAX:
-        key = np.int32(instance_id)  # a Python int would convert all of the ids
-        slots = scene._slots[scene._ids.searchsorted(key) : scene._ids.searchsorted(key, "right")]
+        run = int(scene._run_ids.searchsorted(np.int32(instance_id)))  # in the ids' dtype
+        if run < scene._run_ids.size and scene._run_ids[run] == instance_id:
+            slots = scene._slots[scene._run_starts[run] : scene._run_starts[run + 1]]
     if instance_id not in scene._boxes:
         scene._boxes[instance_id] = _pixel_box(slots % (scene.height * scene.width), scene.width)
     return scene._boxes[instance_id], slots
@@ -579,7 +621,7 @@ def _instance_levels(
     flat = rows.reshape(-1)
     end, depth = slots.size, int(slots[-1]) // area
     while end:
-        start = int(slots.searchsorted(depth * area))
+        start = _searched(slots, depth * area)
         flat[slots[start:end] - (depth * area + box[0] * width)] = depth
         end, depth = start, depth - 1
     return box, levels
@@ -594,7 +636,7 @@ def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMas
     amodal = np.zeros(area, dtype=bool)
     amodal[slots % area] = True
     visible = np.zeros(area, dtype=bool)
-    visible[slots[: slots.searchsorted(area)]] = True
+    visible[slots[: _searched(slots, area)]] = True
     shape = (scene.height, scene.width)
     return BinaryMask._fresh(amodal.reshape(shape)), BinaryMask._fresh(visible.reshape(shape))
 

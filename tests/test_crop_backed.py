@@ -394,8 +394,9 @@ def test_scene_reads_past_the_int32_slot_range_without_its_stacks():
 def test_repr_reads_neither_stacks_nor_values():
     scene = _generated()
     semdist = encode_semdist(scene, scene.ids()[0])
+    entries = int(scene.depth_counts().sum())  # one entry per occupied stack slot
     assert repr(scene) == (
-        f"LayerStackScene(width=40, height=32, ids={scene.ids()}, entries={scene._ids.size})"
+        f"LayerStackScene(width=40, height=32, ids={scene.ids()}, entries={entries})"
     )
     assert repr(semdist) == f"SemDistMap(shape=(32, 40), box={semdist._support_box})"
     assert semdist._support_box is not None

@@ -3,12 +3,15 @@
 The vote-region labeller and perturb's disk morphology are plain numpy, so
 they are checked here against scipy.ndimage, which stays a test-only
 oracle, and the labeller also against the breadth-first oracle of _util.
-A child process that cannot import scipy then runs the whole CLI pipeline.
+The morphology is checked for disks wider than the frame too, and its
+memory is bounded by the frame for any radius. A child process that cannot
+import scipy then runs the whole CLI pipeline.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +145,48 @@ def test_perturb_morphology_at_the_border_and_past_narrow_masks(radius, name):
                 expected(ndimage.binary_erosion(mask, structure=disk(radius))))
     assert_same(perturbed(mask, dilate_radius=radius),
                 expected(ndimage.binary_dilation(mask, structure=disk(radius))))
+
+
+def with_radius_past_the_frame(mask):
+    """(mask, radius) with radius from 1 up to 1.5 times the longer side."""
+    return st.tuples(st.just(mask), st.integers(1, (3 * max(mask.shape) + 1) // 2))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(masks(12).filter(np.any).flatmap(with_radius_past_the_frame))
+def test_perturb_morphology_matches_scipy_for_disks_past_the_frame(case):
+    mask, radius = case
+    assert_same(perturbed(mask, erode_radius=radius),
+                expected(ndimage.binary_erosion(mask, structure=disk(radius))))
+    assert_same(perturbed(mask, dilate_radius=radius),
+                expected(ndimage.binary_dilation(mask, structure=disk(radius))))
+
+
+@pytest.mark.parametrize("name", sorted(BORDER))
+def test_perturb_morphology_at_the_frame_side(name):
+    mask = BORDER[name]
+    for side in mask.shape:
+        for radius in {side - 1, side, side + 1, (3 * side + 1) // 2} - {0}:
+            assert_same(perturbed(mask, erode_radius=radius),
+                        expected(ndimage.binary_erosion(mask, structure=disk(radius))))
+            assert_same(perturbed(mask, dilate_radius=radius),
+                        expected(ndimage.binary_dilation(mask, structure=disk(radius))))
+
+
+@pytest.mark.parametrize("radii, want", [({"erode_radius": 10**6}, "empty"),
+                                         ({"dilate_radius": 10**6}, "full")])
+def test_perturb_memory_is_bounded_by_the_frame_for_any_radius(radii, want):
+    mask = np.zeros((64, 64), dtype=bool)
+    mask[10:40, 20:50] = True
+    tracemalloc.start()
+    try:
+        got = perturbed(mask, **radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the frame is 4 KiB; a copy padded by the radius would take terabytes
+    assert peak < 256 * 1024
+    assert_same(got, None if want == "empty" else np.ones_like(mask))
 
 
 NO_SCIPY = """
