@@ -357,8 +357,8 @@ class LayerStackScene:
         plane of the frame fits int32 and as intp otherwise, and the ids as
         their runs, _run_ids (ascending) and _run_starts (with the entry
         count appended, so run k is _slots[_run_starts[k]:_run_starts[k + 1]]).
-        The kept arrays are read-only, so no one may keep the slots given
-        writable when they already have the kept dtype."""
+        The kept arrays are made read-only. Slots that already have the kept
+        dtype are kept without a copy, so no caller may keep them writable."""
         area = self.height * self.width
         planes = int(slots.max(initial=0)) // area + 1
         slots = slots.astype(np.int32 if planes * area <= _INT32_MAX else np.intp, copy=False)
