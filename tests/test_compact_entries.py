@@ -95,7 +95,7 @@ def test_an_order_256_scene_holds_4_bytes_per_entry_and_a_constant_per_run():
     assert held_bytes(scene) <= 4 * entries + 12 * runs + 8
 
 
-# a pickle of OLD_SCENE() written when scenes held intp slots and an int32 id per entry
+# a pickle of old_scene() written when scenes held intp slots and an int32 id per entry
 OLD_PICKLE = bytes.fromhex(
     "8004950d020000000000008c086275696c74696e73948c07676574617474729493948c0d73656d64"
     "6973742e7479706573948c0f4c61796572537461636b5363656e659493948c0b5f6f665f656e7472"
@@ -114,7 +114,7 @@ OLD_PICKLE = bytes.fromhex(
 )
 
 
-def OLD_SCENE():
+def old_scene():
     stacks = np.array([[[1, 1, 0, 2, 2], [3, 3, 3, 2, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]],
                        [[0, 3, 0, 0, 3], [0, 2, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]])
     records = (InstanceRecord(1, "cup"), InstanceRecord(2), InstanceRecord(3, "box"))
@@ -123,13 +123,13 @@ def OLD_SCENE():
 
 def test_a_pickle_of_per_entry_ids_and_intp_slots_still_loads():
     scene = pickle.loads(OLD_PICKLE)
-    assert scene == OLD_SCENE() and scene._slots.dtype == np.int32
-    assert np.array_equal(scene.stacks, OLD_SCENE().stacks)
+    assert scene == old_scene() and scene._slots.dtype == np.int32
+    assert np.array_equal(scene.stacks, old_scene().stacks)
     assert pickle.loads(pickle.dumps(scene)) == scene
 
 
 def test_reduce_hands_the_slots_and_an_id_per_entry_to_of_entries():
-    scene = OLD_SCENE()
+    scene = old_scene()
     build, (width, height, instances, slots, ids) = scene.__reduce__()
     assert build == LayerStackScene._of_entries
     assert (width, height, instances) == (5, 4, scene.instances)
