@@ -2,8 +2,10 @@
 
 Each digest covers one output over one group of inputs, so a failing case
 names both. The groups are seeded generated scenes at 64x64, at the crowded
-256x256 settings of the `order-256` benchmark workload and at 96x40, plus
-two groups of small random inputs: invalid stacks for validate_scene, and
+256x256 settings of the `order-256` benchmark workload and at 96x40, two
+groups that pin generate alone (at 640x480, the COCOA and D2SA image size,
+and on a 97x41 frame whose shapes run past its edges), plus two groups of
+small random inputs: invalid stacks for validate_scene, and
 tiny masks whose IoUs and scores tie often, for match and evaluate. The
 cli group runs the command sequence of the CI workflow in-process, in a
 temporary working directory with relative paths, and digests each command's
@@ -36,6 +38,7 @@ import pytest
 from semdist import (
     BinaryMask,
     GenConfig,
+    GenerationError,
     InstanceAnnotation,
     InstanceRecord,
     LayerStackScene,
@@ -53,6 +56,7 @@ from semdist import (
     perturb_semdist,
     report_to_dict,
     scene_annotations,
+    scene_to_dict,
     semdist_to_bytes,
     validate_scene,
     write_annotations,
@@ -65,6 +69,12 @@ SCENE_GROUPS = {
     "64x64": [GenConfig(seed=seed) for seed in (0, 1, 2)],
     "256x256": [GenConfig(seed=seed, **_CROWDED) for seed in (0, 1)],
     "96x40": [GenConfig(seed=seed, width=96, height=40) for seed in (0, 1, 2)],
+}
+# generate alone: each scene's sparse document and instance boxes, or the error
+GENERATE_GROUPS = {
+    "640x480": [GenConfig(seed=seed, width=640, height=480) for seed in (0, 1, 2)],
+    "97x41": [GenConfig(seed=seed, width=97, height=41, size_range=(0.01, 1.0),
+                        object_count_range=(1, 9), max_levels=2) for seed in range(8)],
 }
 SCENE_OUTPUTS = (
     "stacks",
@@ -125,6 +135,8 @@ GOLDEN = {
     "96x40/decode_amodal": "42365b36ed522e732b16ad48497ac986711ab50d4a76f7b49002296aa98fa48a",
     "96x40/order_regions": "2dd27983ee8a23ce6c932d2bae2e276328797f704583dad37ac431949a573407",
     "96x40/evaluate": "21e4d28bee871c258494b240de1fdc112445b6260648386354413a4efff582fa",
+    "generate/640x480": "81eb55ce2c782e0b74becd4854cff1219b1bf74b5c770d345f873422b35eb548",
+    "generate/97x41": "870bc32fec5929fa346e7284f15a6637c044b17575c5bc1626ece6483816b26c",
     "random/validate_scene": "6af91a586ab4f7b1d87e3934e63be38bb07f7181279958e20584450f298a063f",
     "tiny/match_evaluate": "a38fe1d4403532475a6d295658cc3dcdcebc3420f340ee40dd5460852427b08e",
     "cli/commands": "c60fe4d2bfca11217b0fccac8406498cf36ba5c346b7ea7f3c90b20a031a79ba",
@@ -237,6 +249,19 @@ def _group_parts(group: str) -> dict[str, list]:
     return {name: [p for case in cases for p in case[name]] for name in SCENE_OUTPUTS}
 
 
+def _generate_parts(group: str) -> list:
+    parts = []
+    for config in GENERATE_GROUPS[group]:
+        try:
+            scene = generate(config)
+        except GenerationError as error:
+            parts.append(f"GenerationError: {error}")
+            continue
+        parts.append(json.dumps(scene_to_dict(scene), sort_keys=True))
+        parts.append(repr(sorted(scene._boxes.items())))
+    return parts
+
+
 def _validate_parts() -> list:
     return [
         repr([(v.kind, v.message, v.pixel, v.instance_id) for v in validate_scene(scene)])
@@ -290,6 +315,7 @@ def _digest(parts: list) -> str:
 
 def _cases() -> list[str]:
     keys = [f"{group}/{name}" for group in SCENE_GROUPS for name in SCENE_OUTPUTS]
+    keys += [f"generate/{group}" for group in GENERATE_GROUPS]
     return keys + ["random/validate_scene", "tiny/match_evaluate", "cli/commands", "cli/files"]
 
 
@@ -301,6 +327,8 @@ def _compute(key: str) -> str:
         return _digest(_match_parts())
     if group == "cli":
         return _digest(_cli_parts()[name])
+    if group == "generate":
+        return _digest(_generate_parts(name))
     return _digest(_group_parts(group)[name])
 
 
