@@ -2,15 +2,17 @@
 
 Scenes are produced from a seeded PCG64 stream, so equal configs give
 bit-identical scenes. Shapes are filled convex primitives rasterized by
-pixel-center inclusion and placed back to front; a placement that would hide
-an already placed object completely is discarded and redrawn.
+pixel-center inclusion on their own box, a window of the frame around the
+shape's bounds, and placed back to front; a placement that would hide an
+already placed object completely is discarded and redrawn. The checks and
+the placement read and write the candidate's box alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
+from math import ceil, floor, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -118,29 +120,75 @@ def _pixel_centers(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _sample_shape(rng: np.random.Generator, config: GenConfig) -> tuple[str, np.ndarray]:
-    """Draw one shape kind and its pixel-center rasterization (may be empty)."""
+def _span(lo: float, hi: float, size: int) -> slice:
+    """The pixels k of a frame axis this long whose centres k + 0.5 can meet
+    [lo, hi], with one pixel of margin on each side, clipped to the axis.
+    A centre outside the span lies more than a pixel outside [lo, hi]."""
+    start = min(max(ceil(lo - 0.5) - 1, 0), size)
+    return slice(start, max(min(floor(hi - 0.5) + 2, size), start))
+
+
+def _sample_shape(
+    rng: np.random.Generator, config: GenConfig
+) -> tuple[str, tuple[slice, slice], np.ndarray]:
+    """Draw one shape kind, its box (a window of the frame) and its
+    pixel-center rasterization on that box (may be empty).
+
+    The box holds the pixels whose centres can meet the shape's bounds (the
+    rectangle's half-sides, the ellipse's axes, the triangle's vertex box)
+    plus a pixel of margin, clipped to the frame. The mask is the
+    full-frame expression on the box's slice of the pixel-centre grids, so
+    each pixel gets the same bit, and the margin keeps every pixel the
+    frame would set: rounding moves a centre's test by far less than a
+    pixel, except in a triangle so thin that its edge tests round to any
+    sign, which is rasterized on the whole frame (see _thin).
+    """
     kind = config.shape_set[int(rng.integers(len(config.shape_set)))]
     side = min(config.width, config.height)
     cx = rng.uniform(0.0, config.width)
     cy = rng.uniform(0.0, config.height)
     size = rng.uniform(config.size_range[0], config.size_range[1]) * side
-    xs, ys = _pixel_centers(config.width, config.height)
-    if kind == "rectangle":
-        half_w = 0.5 * size * rng.uniform(0.6, 1.0)
-        half_h = 0.5 * size * rng.uniform(0.6, 1.0)
-        mask = (np.abs(xs - cx) <= half_w) & (np.abs(ys - cy) <= half_h)
-    elif kind == "ellipse":
-        axis_a = 0.5 * size * rng.uniform(0.6, 1.0)
-        axis_b = 0.5 * size * rng.uniform(0.6, 1.0)
-        mask = ((xs - cx) / axis_a) ** 2 + ((ys - cy) / axis_b) ** 2 <= 1.0
-    else:
+    if kind == "triangle":
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=3))
         radii = rng.uniform(0.5, 1.0, size=3) * 0.5 * size
         vx = cx + radii * np.cos(angles)
         vy = cy + radii * np.sin(angles)
+        if _thin(vx, vy, config.width, config.height):
+            bounds = (0.0, config.width), (0.0, config.height)  # the whole frame
+        else:
+            bounds = (vx.min(), vx.max()), (vy.min(), vy.max())
+    else:
+        half_x = 0.5 * size * rng.uniform(0.6, 1.0)
+        half_y = 0.5 * size * rng.uniform(0.6, 1.0)
+        bounds = (cx - half_x, cx + half_x), (cy - half_y, cy + half_y)
+    box = _span(*bounds[1], config.height), _span(*bounds[0], config.width)
+    xs, ys = _pixel_centers(config.width, config.height)
+    xs, ys = xs[box[1]], ys[box[0]]
+    if kind == "rectangle":
+        mask = (np.abs(xs - cx) <= half_x) & (np.abs(ys - cy) <= half_y)
+    elif kind == "ellipse":
+        mask = ((xs - cx) / half_x) ** 2 + ((ys - cy) / half_y) ** 2 <= 1.0
+    else:
         mask = _fill_triangle(xs, ys, vx, vy)
-    return kind, mask
+    return kind, box, mask
+
+
+def _thin(vx: np.ndarray, vy: np.ndarray, width: int, height: int) -> bool:
+    """Whether _fill_triangle may set a frame pixel more than a pixel
+    outside the triangle's vertex box.
+
+    For a centre that far out, some edge's exact cross product is below
+    -|area2| / (2 * extent), extent being the vertex box's longer side, and
+    each computed cross product is off by at most about 8 * 2**-53 * extent
+    * reach, reach bounding a centre's distance to a vertex on either axis.
+    So no such centre passes all three tests unless |area2| is within
+    2**-49 * extent**2 * reach of zero; this bound is 2**9 times wider. Such
+    a triangle is a sliver: its edge tests round to any sign along its line,
+    and the frame can set pixels far past its vertices."""
+    extent = max(vx.max() - vx.min(), vy.max() - vy.min())
+    reach = max(vx.max(), width - vx.min(), vy.max(), height - vy.min())
+    area2 = (vx[1] - vx[0]) * (vy[2] - vy[0]) - (vy[1] - vy[0]) * (vx[2] - vx[0])
+    return bool(abs(area2) <= 2.0**-40 * extent * extent * reach)
 
 
 def _fill_triangle(xs, ys, vx, vy) -> np.ndarray:
@@ -157,6 +205,13 @@ def _fill_triangle(xs, ys, vx, vy) -> np.ndarray:
     return inside
 
 
+def _pixels(box: tuple[slice, slice], mask: np.ndarray, width: int) -> np.ndarray:
+    """Ascending row-major frame indices of the pixels a mask on box sets."""
+    rows, cols = box
+    index = np.arange(rows.start, rows.stop)[:, None] * width + np.arange(cols.start, cols.stop)
+    return index[mask]
+
+
 def generate(config: GenConfig) -> LayerStackScene:
     """Generate a seeded random scene.
 
@@ -164,6 +219,12 @@ def generate(config: GenConfig) -> LayerStackScene:
     leave some earlier object with no visible pixel, push the stack depth
     past max_levels, or rasterize to an empty mask. Ids are assigned in
     placement order, categories carry the shape kind.
+
+    Every step works on the candidate's box: the frame keeps each pixel's
+    stack depth and the placement number of its front-most object (0 for
+    none), and each placed object keeps its count of visible pixels, so a
+    candidate buries an earlier object exactly when it hides as many of its
+    pixels as the object shows.
     """
     rng = _rng(config.seed)
     lo, hi = config.object_count_range
@@ -171,36 +232,39 @@ def generate(config: GenConfig) -> LayerStackScene:
     budget = 60 * count + 400
 
     kinds: list[str] = []
-    masks: list[np.ndarray] = []
-    visible: list[np.ndarray] = []
+    shapes: list[tuple[tuple[slice, slice], np.ndarray]] = []  # (box, mask on it)
+    shown = np.zeros(count, dtype=np.intp)  # visible pixels of each placed object
     depth = np.zeros((config.height, config.width), dtype=np.int32)
+    front = np.zeros((config.height, config.width), dtype=np.int32)
     attempts = 0
-    while len(masks) < count:
+    while len(shapes) < count:
         attempts += 1
         if attempts > budget:
             raise GenerationError(
                 f"gave up after {budget} placement attempts "
-                f"(seed {config.seed}, {len(masks)}/{count} objects placed)"
+                f"(seed {config.seed}, {len(shapes)}/{count} objects placed)"
             )
-        kind, candidate = _sample_shape(rng, config)
+        kind, box, candidate = _sample_shape(rng, config)
         if not candidate.any():
             continue
-        if int((depth + candidate).max()) > config.max_levels:
+        if int((depth[box] + candidate).max()) > config.max_levels:
             continue
-        if any(not (vis & ~candidate).any() for vis in visible):
+        placed = len(shapes)
+        hidden = np.bincount(front[box][candidate], minlength=placed + 1)[1:]
+        if (hidden >= shown[:placed]).any():
             continue  # placing this shape would fully occlude an earlier object
-        for vis in visible:
-            vis &= ~candidate
-        visible.append(candidate.copy())
-        masks.append(candidate)
+        shown[:placed] -= hidden
+        shown[placed] = np.count_nonzero(candidate)
+        front[box][candidate] = placed + 1
+        depth[box] += candidate
+        shapes.append((box, candidate))
         kinds.append(kind)
-        depth += candidate
 
-    layers = [
-        (InstanceRecord(i + 1, kinds[i]), BinaryMask(masks[i]))
+    layers = (
+        (InstanceRecord(i + 1, kinds[i]), _pixels(*shapes[i], config.width))
         for i in reversed(range(count))
-    ]
-    return LayerStackScene.from_layers(config.width, config.height, layers)
+    )
+    return LayerStackScene._from_pixels(config.width, config.height, layers)
 
 
 _MASK64 = (1 << 64) - 1
@@ -273,9 +337,19 @@ def _disk_morph(bits: np.ndarray, radius: int, erode: bool) -> np.ndarray:
     nothing, and the padding, the rows and the spans stop there: the work
     is at most 2*min(radius, height) + 2*min(radius, width) + 1 slice
     operations on at most 9 times the frame, for any radius.
+
+    Two disks decide the result without that work. An erosion with radius
+    >= min(height, width) is empty, as the offsets (0, radius) and (radius,
+    0) leave the frame from every pixel. A dilation whose disk holds the
+    frame's diagonal, radius**2 >= (height-1)**2 + (width-1)**2, reaches
+    every pixel from any set one, so it is full unless bits is empty.
     """
     combine = np.logical_and if erode else np.logical_or
     height, width = bits.shape
+    if erode and radius >= min(height, width):
+        return np.zeros((height, width), dtype=bool)
+    if not erode and radius * radius >= (height - 1) ** 2 + (width - 1) ** 2:
+        return np.full((height, width), bits.any())
     ry, rx = min(radius, height), min(radius, width)
     padded = np.zeros((height + 2 * ry, width + 2 * rx), dtype=bool)
     padded[ry:ry + height, rx:rx + width] = bits

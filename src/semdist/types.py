@@ -43,7 +43,7 @@ Every crop on a support box becomes a full frame through _paste.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,8 +109,10 @@ def _local(inner: _Box, box: _Box) -> tuple[slice, slice]:
 
 def _paste(shape: tuple[int, int], box: Optional[_Box], crop, fill: np.generic) -> np.ndarray:
     """Fresh frame of fill's dtype holding crop on box and fill elsewhere; box
-    None (with crop None) pastes nothing. A zero fill takes np.zeros, so the
-    pages of the frame that the crop misses are never touched."""
+    None (with crop None) pastes nothing. A zero fill takes np.zeros, which
+    leaves the pages that the crop misses untouched only where the allocator
+    maps fresh zero pages for the frame; where it reuses freed memory,
+    np.zeros clears the whole frame."""
     frame = np.full(shape, fill) if fill else np.zeros(shape, fill.dtype)
     if box is not None:
         frame[_window(box)] = crop
@@ -296,19 +298,21 @@ class LayerStackScene:
     by id: one array of slots, 4 bytes each wherever the stacks' planes fit
     int32, and one (id, run start) pair per id (see the module docstring).
     It keeps no array it is given.
-    Library functions read the entries alone: from_layers and the scene
-    readers hand them over, and per-instance reads, stack_at, depth_counts,
-    validate_scene, compositor.render, equality, pickling, repr and the
-    scene writers read them. stacks is built from the entries only when a
-    caller reads it, read-only, and the first array stored is the one every
-    later access returns, so threads racing to build it all get one array.
+    Library functions read the entries alone: from_layers, generate and
+    the scene readers hand them over, and per-instance reads, stack_at,
+    depth_counts, validate_scene, compositor.render, equality, pickling,
+    repr and the scene writers read them. stacks is built from the entries
+    only when a caller reads it, read-only, and the first array stored is
+    the one every later access returns, so threads racing to build it all
+    get one array.
 
     The scene also carries the support boxes of its instances in _boxes:
     the smallest box around the pixels whose stack holds an id, or None when
-    no pixel does. from_layers knows every box from its masks. In any other
-    scene, the first read of an instance finds its box from the instance's
-    entries and keeps it. The boxes take no part in equality. Threads that
-    read one instance at once find the same box.
+    no pixel does. from_layers and generate know every box from the pixels
+    they hand _from_pixels. In any other scene, the first read of an
+    instance finds its box from the instance's entries and keeps it. The
+    boxes take no part in equality. Threads that read one instance at once
+    find the same box.
 
     The scene also keeps, in _gt_orders, the gt depth order of its
     overlapping instance pairs for the last (c, gt_confidence) that
@@ -424,20 +428,37 @@ class LayerStackScene:
         given order. Every instance appears once, so stacks cannot hold
         duplicates by construction.
         """
-        records = []
-        runs: list[tuple[int, np.ndarray]] = []  # (id, slots) of every instance a pixel holds
-        boxes: dict[int, Optional[_Box]] = {}
-        area = height * width
-        count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
-        for record, mask in layers:
-            if record.id in boxes:
-                raise ValueError(f"duplicate instance id {record.id}")
+
+        def pixels(record: InstanceRecord, mask: BinaryMask) -> np.ndarray:
             if mask.width != width or mask.height != height:
                 raise DimensionMismatchError(
                     f"mask for instance {record.id} is {mask.width}x{mask.height}, "
                     f"scene is {width}x{height}"
                 )
-            index = np.flatnonzero(mask.bits)
+            return np.flatnonzero(mask.bits)
+
+        return cls._from_pixels(width, height, ((r, pixels(r, m)) for r, m in layers))
+
+    @classmethod
+    def _from_pixels(
+        cls,
+        width: int,
+        height: int,
+        layers: Iterable[tuple[InstanceRecord, np.ndarray]],
+    ) -> "LayerStackScene":
+        """The scene of (record, pixels) pairs ordered front to back, pixels
+        being the ascending row-major indices of the record's amodal mask:
+        what from_layers builds from the masks. Each record's box is taken
+        from its pixels. Raises ValueError for an id listed twice, and for
+        an id past int32 that some pixel holds."""
+        records = []
+        runs: list[tuple[int, np.ndarray]] = []  # (id, slots) of every instance a pixel holds
+        boxes: dict[int, Optional[_Box]] = {}
+        area = height * width
+        count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
+        for record, index in layers:
+            if record.id in boxes:
+                raise ValueError(f"duplicate instance id {record.id}")
             # an id that no pixel uses never enters the stacks, so it may exceed int32
             if record.id > _INT32_MAX and index.size:
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")

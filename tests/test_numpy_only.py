@@ -4,7 +4,8 @@ The vote-region labeller and perturb's disk morphology are plain numpy, so
 they are checked here against scipy.ndimage, which stays a test-only
 oracle, and the labeller also against the breadth-first oracle of _util.
 The morphology is checked for disks wider than the frame too, and its
-memory is bounded by the frame for any radius. A child process that cannot
+memory is bounded by the frame for any radius; a disk that empties or
+fills the frame is settled without the disk loop. A child process that cannot
 import scipy then runs the whole CLI pipeline.
 """
 
@@ -187,6 +188,26 @@ def test_perturb_memory_is_bounded_by_the_frame_for_any_radius(radii, want):
     # the frame is 4 KiB; a copy padded by the radius would take terabytes
     assert peak < 256 * 1024
     assert_same(got, None if want == "empty" else np.ones_like(mask))
+
+
+@pytest.mark.parametrize("radius", [2000, 10**6])
+@pytest.mark.parametrize("erode", [True, False], ids=["erode", "dilate"])
+def test_perturb_settles_disks_past_the_frame_without_the_disk_loop(erode, radius):
+    # a 640x480 annotation, the COCOA and D2SA image size: an erosion past
+    # the shorter side is empty and a dilation past the diagonal is full
+    mask = np.zeros((480, 640), dtype=bool)
+    mask[100:300, 200:500] = True
+    radii = {"erode_radius" if erode else "dilate_radius": radius}
+    tracemalloc.start()
+    try:
+        got = perturbed(mask, **radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the disk loop pads the frame to 9 times its size; the answer and the
+    # annotation perturb builds from it take a few frames
+    assert peak < 8 * mask.size
+    assert_same(got, None if erode else np.ones_like(mask))
 
 
 NO_SCIPY = """
