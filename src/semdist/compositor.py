@@ -234,9 +234,8 @@ def generate(config: GenConfig) -> LayerStackScene:
     kinds: list[str] = []
     shapes: list[tuple[tuple[slice, slice], np.ndarray]] = []  # (box, mask on it)
     shown = np.zeros(count, dtype=np.intp)  # visible pixels of each placed object
-    # depths and placement numbers never pass count
-    depth = np.zeros((config.height, config.width), dtype=np.min_scalar_type(count))
-    front = np.zeros_like(depth)
+    depth = np.zeros((config.height, config.width), dtype=np.int32)
+    front = np.zeros((config.height, config.width), dtype=np.int32)
     attempts = 0
     while len(shapes) < count:
         attempts += 1

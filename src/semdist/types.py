@@ -455,9 +455,7 @@ class LayerStackScene:
         runs: list[tuple[int, np.ndarray]] = []  # (id, slots) of every instance a pixel holds
         boxes: dict[int, Optional[_Box]] = {}
         area = height * width
-        # stack length so far: the depth of the next id
-        count = np.zeros(area, dtype=np.int32)
-        plane = np.intp(area)  # an intp factor, so depth * plane does not wrap in int32
+        count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
         for record, index in layers:
             if record.id in boxes:
                 raise ValueError(f"duplicate instance id {record.id}")
@@ -469,7 +467,7 @@ class LayerStackScene:
             if index.size:
                 depth = count[index]
                 count[index] = depth + 1
-                runs.append((record.id, np.sort(depth * plane + index)))  # depth by depth
+                runs.append((record.id, np.sort(depth * area + index)))  # depth by depth
         runs.sort(key=lambda run: run[0])
         slots = np.concatenate([np.empty(0, dtype=np.intp), *(s for _, s in runs)])
         ids = np.array([i for i, _ in runs], dtype=np.int32).repeat([s.size for _, s in runs])

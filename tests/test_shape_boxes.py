@@ -148,14 +148,6 @@ def test_generate_matches_the_full_frame_reference(config):
     assert_same_outcome(config)
 
 
-@pytest.mark.parametrize("count", [255, 256, 300])
-def test_generate_past_a_byte_of_objects(count):
-    # the frames of depths and placement numbers take the smallest dtype
-    # that holds count, so 255 and 256 objects sit either side of uint8
-    assert_same_outcome(GenConfig(seed=1, width=64, height=48, object_count_range=(count, count),
-                                  size_range=(0.02, 0.1), max_levels=3))
-
-
 # ---------------------------------------------------------------------------
 # the rasterizer: a shape's box mask is its frame mask
 
