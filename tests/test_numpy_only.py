@@ -5,8 +5,8 @@ they are checked here against scipy.ndimage, which stays a test-only
 oracle, and the labeller also against the breadth-first oracle of _util.
 The morphology is checked for disks wider than the frame too, and its
 memory is bounded by the frame for any radius; a disk that empties or
-fills the frame is settled without the disk loop. A child process that cannot
-import scipy then runs the whole CLI pipeline.
+fills the frame is settled without the disk loop. A child process that
+cannot import scipy then runs the whole CLI pipeline.
 """
 
 import os
