@@ -3,8 +3,8 @@ box. These tests hold it bit-identical to the full-frame generator it
 replaced, which is kept below as the reference: the same scenes, the same
 instance boxes and the same GenerationError message when the retry budget
 runs out. Each shape's box mask is held equal to its frame mask, crafted
-edge cases included, and from_layers, which shares its scene builder with
-generate, is held to rebuild a generated scene from its masks."""
+edge cases included, and from_layers, which builds scenes through the same
+core as generate, is held to rebuild a generated scene from its masks."""
 
 import math
 
@@ -290,7 +290,7 @@ def test_random_shapes(width, height):
 
 
 # ---------------------------------------------------------------------------
-# one scene builder for from_layers and generate
+# one scene-building core for from_layers and generate
 
 BUILT = [
     GenConfig(seed=3),
