@@ -167,7 +167,10 @@ def _sample_shape(
     if kind == "rectangle":
         mask = (np.abs(xs - cx) <= half_x) & (np.abs(ys - cy) <= half_y)
     elif kind == "ellipse":
-        mask = ((xs - cx) / half_x) ** 2 + ((ys - cy) / half_y) ** 2 <= 1.0
+        # a size near 0 makes a term overflow to inf or divide 0 by 0 to
+        # nan, and either fails the test, as the pixel lies outside
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mask = ((xs - cx) / half_x) ** 2 + ((ys - cy) / half_y) ** 2 <= 1.0
     else:
         mask = _fill_triangle(xs, ys, vx, vy)
     return kind, box, mask

@@ -415,19 +415,15 @@ def _stacked_scene(
     listed = np.array(sorted(r.id for r in records if r.id <= _INT32_MAX), dtype=np.int64)
     if ids.size and not listed.size:
         return None
-    if (listed.take(listed.searchsorted(ids), mode="clip") != ids).any():
-        return None
-    # one (cell, id) key per entry: a repeat within a cell sorts next to its twin
-    cell = np.arange(lengths.size).repeat(lengths)
-    entries = cell << 31 | ids
-    entries.sort()
-    if (entries[1:] == entries[:-1]).any():
+    which = listed.searchsorted(ids)
+    if (listed.take(which, mode="clip") != ids).any():
         return None
     if pixels is not None and pixels.size:
         if not lengths.all() or int(pixels.max()) >= width * height:
             return None
     try:
-        return LayerStackScene._from_cells(width, height, records, pixels, lengths, ids)
+        # None for an id twice in one cell
+        return LayerStackScene._from_cells(width, height, records, pixels, lengths, listed, which)
     except ValueError as exc:
         depth = int(lengths.max(initial=0))
         raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc

@@ -15,23 +15,36 @@ it means, so threads that race to fill them fill in equal data.
 This module alone knows how scenes and maps sit in memory. A scene's dense
 stacks are a (depth, height, width) int32 array whose plane k holds each
 pixel's (k + 1)-th id from the front, 0 past the end of its stack. The scene
-itself holds only the occupied slots of that array as entries: each entry is
-a slot, the flat index depth * height * width + y * width + x, and the id
-held there. The entries are sorted by id and then by slot, so one
-instance's entries are one run that lists them depth by depth from the front
-and row-major within a depth. The scene keeps the slots in one array and
-the ids as runs: the distinct ids in ascending order and where each one's
-run starts. An instance's run is found by binary search over the run ids,
-and the few readers that need an id per entry rebuild one from the runs and
-drop it. The slots are int32 where every stack plane of the frame fits
-int32, that is where (max depth + 1) * height * width <= 2**31 - 1, and intp
-otherwise, so an entry costs 4 bytes in all but huge frames. Arithmetic on
-int32 slots stays int32, so every value the readers compute from slots (the
-frame area, a plane's offset, the pixel-major sort key of _scene_cells) is
-kept below that bound. A search in the slots takes its key in their dtype
-(_searched), as a Python int key makes numpy convert them all, and an index
-made from slots is cast to intp (_index) before it indexes, which is faster
-than numpy's own cast inside the indexing.
+itself holds only the occupied slots of that array: a slot is the flat index
+depth * height * width + y * width + x, and each occupied slot holds an id.
+Sorted, one id's slots fall into few runs of consecutive values, mostly one
+per row stretch of the instance at one depth, so the scene keeps, for each
+id, the runs of its sorted slots: a start slot and a length per run
+(_starts, _lengths), with the runs sorted by id and then by start and every
+run as long as it can be. The ids are kept once each (_ids, ascending),
+with where each one's runs begin (_id_runs). A run takes 8 bytes, and a
+default 64x64 scene holds about 12 entries per run and a default 640x480
+one about 85, a small fraction of the 4 bytes per entry of an int32 slot
+array. The worst case is a scene in which no two slots of one id are
+consecutive: one run per entry, so 8 bytes per entry, twice such an array.
+
+A reader expands the runs it needs back into slots with _expanded, one
+numpy pass with no loop over runs: an instance's runs give its slots depth
+by depth from the front and row-major within a depth, and all runs give
+every entry sorted by id and then by slot. The few readers that need an id
+per entry rebuild one from the run table and drop it. Builders never sort
+slots: they cut the entries they hold, in their own order, into pieces of
+consecutive slots (_piece_heads) and sort and join them (_run_table).
+
+The runs are int32 where every stack plane of the frame fits int32, that is
+where (max depth + 1) * height * width <= 2**31 - 1, and intp otherwise, and
+expanded slots keep that dtype. Arithmetic on int32 slots stays int32, so
+every value the readers compute from slots (the frame area, a plane's
+offset, the pixel-major sort key of _scene_cells) is kept below that bound.
+A search in the slots takes its key in their dtype (_searched), as a Python
+int key makes numpy convert them all, and an index made from slots is cast
+to intp (_index) before it indexes, which is faster than numpy's own cast
+inside the indexing.
 
 Cells are the occupied (or all) row-major pixel indices, their stack
 lengths and all their ids front to back in one flat array: the scene
@@ -236,7 +249,8 @@ class InstanceRecord:
 
 def _ranks(lengths: np.ndarray) -> np.ndarray:
     """Depth of every flat id inside its stack, for stacks of these lengths."""
-    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    firsts = (lengths.cumsum() - lengths).repeat(lengths)
+    return np.arange(firsts.size) - firsts
 
 
 def _pixel_box(pixels: np.ndarray, width: int) -> Optional[_Box]:
@@ -261,10 +275,50 @@ def _index(slots: np.ndarray) -> np.ndarray:
     return slots.astype(np.intp, copy=False)
 
 
-def _grouped(slots: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(slot, id) entries sorted by id and then by slot."""
-    order = np.lexsort((slots, ids))
-    return slots[order], ids[order]
+def _expanded(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The slots of runs, run after run, in the runs' dtype: start, start +
+    1, ... for each run's length. Each slot is its place in the output plus
+    its run's start less the place where the run begins there."""
+    shift = np.add.accumulate(lengths, dtype=lengths.dtype)
+    shift -= lengths
+    np.subtract(starts, shift, out=shift)
+    slots = shift.repeat(lengths)
+    slots += np.arange(slots.size, dtype=slots.dtype)
+    return slots
+
+
+def _piece_heads(slots: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """True where a piece of the entries begins, in the order given, and
+    once more after the last entry, so its nonzero places bound the pieces.
+    A piece is a stretch of one id in which every slot is one past the one
+    before."""
+    head = np.ones(slots.size + 1, dtype=bool)
+    np.not_equal(slots[1:], slots[:-1] + 1, out=head[1:-1])
+    if ids is not None:
+        head[1:-1] |= ids[1:] != ids[:-1]
+    return head
+
+
+def _run_table(
+    ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, id runs, starts, lengths) of the runs that pieces of distinct
+    slots, given in any order as their id, start slot and length, make:
+    the pieces are sorted by id and then by start, a piece that goes on
+    where the one before it of its id ends joins it, and the distinct ids
+    come in ascending order, with where each one's runs begin and the run
+    count after the last (id runs)."""
+    order = np.lexsort((starts, ids))
+    ids, starts, lengths = ids[order], starts[order], lengths[order]
+    join = starts[1:] == starts[:-1] + lengths[:-1]
+    join &= ids[1:] == ids[:-1]
+    if join.any():
+        heads = np.flatnonzero(np.concatenate(([True], ~join)))
+        ids, starts, lengths = ids[heads], starts[heads], np.add.reduceat(lengths, heads)
+    first = np.ones(ids.size + 1, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:-1])
+    id_runs = np.flatnonzero(first)
+    return ids[id_runs[:-1]], id_runs, starts, lengths
 
 
 def _scene_cells(scene: "LayerStackScene", dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,7 +326,7 @@ def _scene_cells(scene: "LayerStackScene", dense: bool) -> tuple[np.ndarray, np.
     pixel when dense, their stack lengths and their ids front to back, with
     empty slots dropped."""
     area = scene.height * scene.width
-    depth, pixel = np.divmod(scene._slots, area)
+    depth, pixel = np.divmod(scene._entry_slots(), area)
     # slots are distinct, so so are the keys: pixel by pixel, front to back,
     # and all below planes * area, so in the slots' dtype
     order = (pixel * (int(depth.max(initial=0)) + 1) + depth).argsort()
@@ -294,23 +348,26 @@ class LayerStackScene:
     any such array, gaps, repeated, negative and unlisted ids included, and
     raises ValueError for a value that int32 does not hold exactly.
 
-    A scene holds only the occupied slots of its stacks, as entries grouped
-    by id: one array of slots, 4 bytes each wherever the stacks' planes fit
-    int32, and one (id, run start) pair per id (see the module docstring).
-    It keeps no array it is given.
-    Library functions read the entries alone: from_layers, generate and
-    the scene readers hand them over, and per-instance reads, stack_at,
+    A scene holds only the occupied slots of its stacks, and those as
+    runs: for each id, the runs of consecutive values among its sorted
+    slots, a start slot and a length each, 8 bytes per run wherever the
+    stacks' planes fit int32, and one (id, first run) pair per id (see the
+    module docstring). Most runs hold many slots; a scene in which no two
+    slots of one id are consecutive holds 8 bytes per entry. It keeps no
+    array it is given.
+    Library functions read the runs alone: from_layers, generate and the
+    scene readers hand them over, and per-instance reads, stack_at,
     depth_counts, validate_scene, compositor.render, equality, pickling,
-    repr and the scene writers read them. stacks is built from the entries
-    only when a caller reads it, read-only, and the first array stored is
-    the one every later access returns, so threads racing to build it all
-    get one array.
+    repr and the scene writers read them, expanding into slots only the
+    runs they need. stacks is built from the runs only when a caller reads
+    it, read-only, and the first array stored is the one every later access
+    returns, so threads racing to build it all get one array.
 
     The scene also carries the support boxes of its instances in _boxes:
     the smallest box around the pixels whose stack holds an id, or None when
     no pixel does. from_layers and generate know every box from the pixels
     they hand _from_pixels. In any other scene, the first read of an
-    instance finds its box from the instance's entries and keeps it. The
+    instance finds its box from the instance's slots and keeps it. The
     boxes take no part in equality. Threads that read one instance at once
     find the same box.
 
@@ -343,8 +400,8 @@ class LayerStackScene:
             )
         flat = stacks.reshape(-1)
         slots = np.flatnonzero(flat)
-        del self.__dict__["stacks"]  # built again from the entries on first access
-        self._keep(*_grouped(slots, flat[slots]))
+        del self.__dict__["stacks"]  # built again from the runs on first access
+        self._keep_entries(slots, flat[slots])
 
     def _check_head(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -355,42 +412,67 @@ class LayerStackScene:
                 raise ValueError(f"instances must be InstanceRecord, got {record!r}")
         self.__dict__["instances"] = instances
 
-    def _keep(self, slots: np.ndarray, ids: np.ndarray) -> None:
-        """Hold the entries given as integer slots and their int32 ids,
-        sorted by id and then by slot: the slots as int32 where every stack
-        plane of the frame fits int32 and as intp otherwise, and the ids as
-        their runs, _run_ids (ascending) and _run_starts (with the entry
-        count appended, so run k is _slots[_run_starts[k]:_run_starts[k + 1]]).
-        The kept arrays are made read-only. Slots that already have the kept
-        dtype are kept without a copy, so no caller may keep them writable."""
+    def _keep(
+        self, ids: np.ndarray, id_runs: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """Hold the run table of _run_table: _ids (int32, ascending),
+        _id_runs (intp, so id k's runs are those from _id_runs[k] up to
+        _id_runs[k + 1]), and each run's start slot and length, _starts and
+        _lengths, as int32 where every stack plane of the frame fits int32
+        and as intp otherwise. The kept arrays are made read-only."""
         area = self.height * self.width
-        planes = int(slots.max(initial=0)) // area + 1
-        slots = slots.astype(np.int32 if planes * area <= _INT32_MAX else np.intp, copy=False)
-        new = np.ones(ids.size, dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        run_ids, run_starts = ids[starts], np.append(starts, ids.size)
-        for kept in (slots, run_ids, run_starts):
-            kept.setflags(write=False)
-        self.__dict__.update(
-            _slots=slots, _run_ids=run_ids, _run_starts=run_starts, _boxes={}, _gt_orders=None
+        last = int((starts + lengths).max(initial=1)) - 1
+        kept = np.int32 if (last // area + 1) * area <= _INT32_MAX else np.intp
+        table = (
+            ids.astype(np.int32, copy=False),
+            id_runs.astype(np.intp, copy=False),
+            starts.astype(kept, copy=False),
+            lengths.astype(kept, copy=False),
         )
+        for array in table:
+            array.setflags(write=False)
+        self.__dict__.update(zip(("_ids", "_id_runs", "_starts", "_lengths"), table))
+        self.__dict__.update(_boxes={}, _gt_orders=None)
+
+    def _keep_entries(self, slots: np.ndarray, ids: np.ndarray) -> None:
+        """Hold the entries given as distinct integer slots and their ids,
+        in any order, as runs."""
+        bounds = np.flatnonzero(_piece_heads(slots, ids))
+        heads = bounds[:-1]
+        self._keep(*_run_table(ids[heads], slots[heads], bounds[1:] - heads))
+
+    def _entry_slots(self) -> np.ndarray:
+        """The slot of every entry, sorted by id and then by slot, expanded
+        from the runs for a reader that needs them all; the scene does not
+        keep them."""
+        return _expanded(self._starts, self._lengths)
 
     def _entry_ids(self) -> np.ndarray:
-        """The id of every entry, rebuilt from the runs for a reader that
-        needs them all; the scene does not keep it."""
-        return self._run_ids.repeat(np.diff(self._run_starts))
+        """The id of every entry, in the order of _entry_slots, rebuilt
+        from the run table for a reader that needs them all; the scene does
+        not keep it."""
+        return self._ids.repeat(np.diff(self._id_runs)).repeat(self._lengths)
 
     @classmethod
     def _of_entries(
         cls, width: int, height: int, instances: Sequence[InstanceRecord], slots: np.ndarray,
         ids: np.ndarray,
     ) -> "LayerStackScene":
-        """The scene of these entries, as _keep takes them."""
+        """The scene of these entries, distinct slots and an id for each,
+        in any order. Pickles call it with the entries sorted by id and
+        then by slot."""
+        scene = cls._headed(width, height, instances)
+        scene._keep_entries(slots, ids)
+        return scene
+
+    @classmethod
+    def _headed(
+        cls, width: int, height: int, instances: Sequence[InstanceRecord]
+    ) -> "LayerStackScene":
+        """A scene with its head fields set and checked, and no entries yet."""
         scene = object.__new__(cls)
         scene.__dict__.update(width=width, height=height, instances=instances)
         scene._check_head()
-        scene._keep(slots, ids)
         return scene
 
     @classmethod
@@ -401,19 +483,39 @@ class LayerStackScene:
         instances: Sequence[InstanceRecord],
         pixels: Optional[np.ndarray],
         lengths: np.ndarray,
-        ids: np.ndarray,
-    ) -> "LayerStackScene":
-        """The scene whose stacks hold the flat ids cell by cell, front to
-        back, at the cells' pixel indices (None: a cell per pixel, in
-        order). The cells must fit the frame and hold no id twice, and the
-        ids must fit int32. Raises ValueError where the stacks are too big
-        for numpy to shape, as it refuses such an array even with no planes."""
-        depth = int(lengths.max(initial=0))
-        if max(depth, 1) * height * width * 4 > _INTP_MAX:  # 4 bytes per int32 slot
+        names: np.ndarray,
+        which: np.ndarray,
+    ) -> Optional["LayerStackScene"]:
+        """The scene whose stacks hold the flat ids names[which] cell by
+        cell, front to back, at the cells' pixel indices (None: a cell per
+        pixel, in order), or None where a cell holds an id twice. names are
+        distinct ascending ids that fit int32, and the cells must fit the
+        frame at distinct pixels. Raises ValueError where the stacks are
+        too big for numpy to shape, as it refuses such an array even with
+        no planes.
+
+        One stable sort by id puts each id's entries in cell order, so an
+        id twice in a cell sits next to its twin, and each id's entries
+        fall into pieces of consecutive slots, which _run_table sorts: few
+        pieces where the cells come in pixel order, as they do from the
+        writers up to the string order of keys of different lengths."""
+        cells = np.arange(lengths.size) if pixels is None else pixels.astype(np.intp, copy=False)
+        pixel = cells.repeat(lengths)
+        # a stable sort of keys of 16 bits or less is a radix sort
+        order = which.astype(np.min_scalar_type(names.size)).argsort(kind="stable")
+        which, pixel = which[order], pixel[order]
+        if ((which[1:] == which[:-1]) & (pixel[1:] == pixel[:-1])).any():
+            return None
+        area = height * width
+        if max(int(lengths.max(initial=0)), 1) * area * 4 > _INTP_MAX:  # 4 bytes per int32 slot
             raise ValueError("the stacks are larger than the maximum possible array size")
-        pixel = (np.arange(lengths.size) if pixels is None else pixels.astype(np.intp)).repeat(lengths)
-        slots = _ranks(lengths) * (height * width) + pixel
-        return cls._of_entries(width, height, instances, *_grouped(slots, ids.astype(np.int32)))
+        slots = _ranks(lengths)[order] * area + pixel
+        bounds = np.flatnonzero(_piece_heads(slots, which))
+        heads = bounds[:-1]
+        codes, id_runs, starts, runs = _run_table(which[heads], slots[heads], bounds[1:] - heads)
+        scene = cls._headed(width, height, instances)
+        scene._keep(names[codes], id_runs, starts, runs)
+        return scene
 
     @classmethod
     def from_layers(
@@ -450,10 +552,17 @@ class LayerStackScene:
         being the ascending row-major indices of the record's amodal mask:
         what from_layers builds from the masks. Each record's box is taken
         from its pixels. Raises ValueError for an id listed twice, and for
-        an id past int32 that some pixel holds."""
+        an id past int32 that some pixel holds.
+
+        In pixel order, a record's slots (its depth at a pixel times the
+        frame area, plus the pixel) go up by one along each row stretch at
+        one depth, so they fall into few pieces, which _run_table sorts;
+        the slots themselves are never sorted."""
         records = []
-        runs: list[tuple[int, np.ndarray]] = []  # (id, slots) of every instance a pixel holds
         boxes: dict[int, Optional[_Box]] = {}
+        held: list[int] = []  # every id a pixel holds, with its slots below
+        slots: list[np.ndarray] = []
+        firsts: list[int] = []  # where each held id's slots begin among all of them
         area = height * width
         count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
         for record, index in layers:
@@ -467,11 +576,20 @@ class LayerStackScene:
             if index.size:
                 depth = count[index]
                 count[index] = depth + 1
-                runs.append((record.id, np.sort(depth * area + index)))  # depth by depth
-        runs.sort(key=lambda run: run[0])
-        slots = np.concatenate([np.empty(0, dtype=np.intp), *(s for _, s in runs)])
-        ids = np.array([i for i, _ in runs], dtype=np.int32).repeat([s.size for _, s in runs])
-        scene = cls._of_entries(width, height, tuple(records), slots, ids)
+                held.append(record.id)
+                firsts.append(firsts[-1] + slots[-1].size if slots else 0)
+                slots.append(depth * area + index)
+        # one cut over all records' slots, a piece beginning at each record's first
+        slots = np.concatenate([np.empty(0, dtype=np.intp), *slots])
+        firsts = np.array(firsts, dtype=np.intp)
+        head = _piece_heads(slots)
+        head[firsts] = True
+        bounds = np.flatnonzero(head)
+        heads = bounds[:-1]
+        # the id of each piece: that of the last record to begin at or before it
+        ids = np.array(held, dtype=np.int32)[firsts.searchsorted(heads, side="right") - 1]
+        scene = cls._headed(width, height, tuple(records))
+        scene._keep(*_run_table(ids, slots[heads], bounds[1:] - heads))
         scene._boxes.update(boxes)
         return scene
 
@@ -480,9 +598,10 @@ class LayerStackScene:
         if name != "stacks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         area = self.height * self.width
-        depth = int(self._slots.max()) // area + 1 if self._slots.size else 0
+        ends = self._starts + self._lengths
+        depth = (int(ends.max()) - 1) // area + 1 if ends.size else 0
         stacks = np.zeros((depth, self.height, self.width), dtype=np.int32)
-        stacks.reshape(-1)[_index(self._slots)] = self._entry_ids()
+        stacks.reshape(-1)[_index(self._entry_slots())] = self._entry_ids()
         stacks.setflags(write=False)
         return self.__dict__.setdefault("stacks", stacks)
 
@@ -500,41 +619,45 @@ class LayerStackScene:
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height} scene")
         # the pixel's entries; their slots grow with depth
-        here = self._slots % (self.height * self.width) == y * self.width + x
-        return tuple(self._entry_ids()[here][self._slots[here].argsort()].tolist())
+        slots = self._entry_slots()
+        here = slots % (self.height * self.width) == y * self.width + x
+        return tuple(self._entry_ids()[here][slots[here].argsort()].tolist())
 
     def depth_counts(self) -> np.ndarray:
         """Per-pixel stack lengths as an (height, width) int32 grid."""
         area = self.height * self.width
-        counts = np.bincount(self._slots % area, minlength=area).astype(np.int32)
+        counts = np.bincount(self._entry_slots() % area, minlength=area).astype(np.int32)
         return counts.reshape(self.height, self.width)
 
     def max_depth(self) -> int:
         return int(self.depth_counts().max())
 
     def __eq__(self, other: object):
+        # every builder keeps the runs maximal and sorted by id and then by
+        # start, so equal entries make equal run tables
         if not isinstance(other, LayerStackScene):
             return NotImplemented
         return (
             self.width == other.width
             and self.height == other.height
             and self.instances == other.instances
-            and bool(np.array_equal(self._slots, other._slots))
-            and bool(np.array_equal(self._run_ids, other._run_ids))
-            and bool(np.array_equal(self._run_starts, other._run_starts))
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("_ids", "_id_runs", "_starts", "_lengths")
+            )
         )
 
     __hash__ = None
 
     def __reduce__(self):
         return type(self)._of_entries, (
-            self.width, self.height, self.instances, self._slots, self._entry_ids()
+            self.width, self.height, self.instances, self._entry_slots(), self._entry_ids()
         )
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(width={self.width}, height={self.height}, "
-            f"ids={self.ids()}, entries={self._slots.size})"
+            f"ids={self.ids()}, entries={int(self._lengths.sum())})"
         )
 
 
@@ -573,15 +696,16 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
             violations.append(SceneViolation("duplicate_instance", message, None, record.id))
         seen.add(record.id)
 
-    slots, width = scene._slots, scene.width
+    slots, width = scene._entry_slots(), scene.width
     area = scene.height * width
     pixels = slots % area
 
-    # the first entry of each id's run is its first, planes first
-    for uid, first in zip(scene._run_ids.tolist(), scene._run_starts.tolist()):
+    # the start of each id's first run is its first slot, planes first
+    firsts = scene._starts[scene._id_runs[:-1]] % area
+    for uid, first in zip(scene._ids.tolist(), firsts.tolist()):
         if uid in seen:
             continue
-        y, x = divmod(int(pixels[first]), width)
+        y, x = divmod(first, width)
         if uid < 0:
             kind, message = "invalid_id", f"stack at ({x}, {y}) holds non-positive id {uid}"
         else:
@@ -619,12 +743,14 @@ def _instance_slots(scene: LayerStackScene, instance_id: int) -> tuple[Optional[
     front and row-major within a depth. The first read of an instance finds
     its box from those slots and keeps it. Raises UnknownInstanceError for
     an id the scene does not list."""
-    scene.record_of(instance_id)
-    slots = scene._slots[:0]  # a listed id past int32 is in no stack
+    if instance_id not in scene._boxes:  # a kept box is that of a listed id
+        scene.record_of(instance_id)
+    runs = slice(0)  # a listed id past int32 is in no stack
     if instance_id <= _INT32_MAX:
-        run = int(scene._run_ids.searchsorted(np.int32(instance_id)))  # in the ids' dtype
-        if run < scene._run_ids.size and scene._run_ids[run] == instance_id:
-            slots = scene._slots[scene._run_starts[run] : scene._run_starts[run + 1]]
+        k = int(scene._ids.searchsorted(np.int32(instance_id)))  # in the ids' dtype
+        if k < scene._ids.size and scene._ids[k] == instance_id:
+            runs = slice(scene._id_runs[k], scene._id_runs[k + 1])
+    slots = _expanded(scene._starts[runs], scene._lengths[runs])
     if instance_id not in scene._boxes:
         scene._boxes[instance_id] = _pixel_box(slots % (scene.height * scene.width), scene.width)
     return scene._boxes[instance_id], slots
@@ -726,19 +852,27 @@ class SemDistMap(_FrozenGrid):
 
     @classmethod
     def _from_crop(
-        cls, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray]
+        cls, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray],
+        check: bool = True,
     ) -> "SemDistMap":
         """Map on a frame of the given shape holding crop on box and +0.0
         elsewhere, without copying crop. box must be the support box of that
-        frame (None with crop None: every value is +0.0)."""
+        frame (None with crop None: every value is +0.0). check False skips
+        the value check, for a caller that has already proven every value
+        finite and below 1."""
         semdist = object.__new__(cls)
-        semdist._hold(shape, box, crop)
+        semdist._hold(shape, box, crop, check)
         return semdist
 
-    def _hold(self, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray]) -> None:
-        """Keep shape, box and crop; only the crop is checked, then made read-only."""
+    def _hold(
+        self, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray],
+        check: bool = True,
+    ) -> None:
+        """Keep shape, box and crop; only the crop is checked (unless check
+        is False), then made read-only."""
         if crop is not None:
-            self._check(crop)
+            if check:
+                self._check(crop)
             crop.setflags(write=False)
         self.__dict__.update(_shape=tuple(shape), _support_box=box, _crop=crop)
 
