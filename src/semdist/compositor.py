@@ -27,7 +27,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _instance_masks, _instance_slots, _local, _searched
+from .types import _instance_masks, _instance_slots, _local
 
 __all__ = [
     "SHAPES",
@@ -297,7 +297,7 @@ def render(scene: LayerStackScene) -> np.ndarray:
     image = np.zeros((area, 3), dtype=np.uint8)
     for record in scene.instances:
         _, slots = _instance_slots(scene, record.id)
-        image[slots[: _searched(slots, area)]] = instance_color(record.id)
+        image[slots[: int(slots.searchsorted(area))]] = instance_color(record.id)
     return image.reshape(scene.height, scene.width, 3)
 
 

@@ -3,14 +3,15 @@
 Everything here is an immutable value: numpy payloads are copied on
 construction and marked read-only, so instances are safe to share across
 threads and to use as fixture data. A map holds its frame shape, support box
-and crop from construction, and a scene holds its occupied stack entries.
+and crop from construction, and a scene holds its occupied stack entries and
+the support box of each listed instance from construction.
 Library functions read only entries and crops: a scene's dense stacks and a
 map's full frame (LayerStackScene.stacks, SemDistMap.values) are built only
-when a caller reads them, and then kept. A scene also keeps each instance's
-support box once a read has found it, and the gt depth order for the last
-threshold and gt confidence the scene was scored at. All caches are
-deterministic functions of the value (and of that key) and never change what
-it means, so threads that race to fill them fill in equal data.
+when a caller reads them, and then kept. A scene also keeps the gt depth
+order for the last threshold and gt confidence the scene was scored at.
+All caches are deterministic functions of the value (and of that key) and
+never change what it means, so threads that race to fill them fill in equal
+data.
 
 This module alone knows how scenes and maps sit in memory. A scene's dense
 stacks are a (depth, height, width) int32 array whose plane k holds each
@@ -20,13 +21,14 @@ depth * height * width + y * width + x, and each occupied slot holds an id.
 Sorted, one id's slots fall into few runs of consecutive values, mostly one
 per row stretch of the instance at one depth, so the scene keeps, for each
 id, the runs of its sorted slots: a start slot and a length per run
-(_starts, _lengths), with the runs sorted by id and then by start and every
-run as long as it can be. The ids are kept once each (_ids, ascending),
-with where each one's runs begin (_id_runs). A run takes 8 bytes, and a
-default 64x64 scene holds about 12 entries per run and a default 640x480
-one about 85, a small fraction of the 4 bytes per entry of an int32 slot
-array. The worst case is a scene in which no two slots of one id are
-consecutive: one run per entry, so 8 bytes per entry, twice such an array.
+(_starts, _lengths, both intp), with the runs sorted by id and then by
+start and every run as long as it can be. The ids are kept once each
+(_ids, ascending), with where each one's runs begin (_id_runs). A run takes
+16 bytes, and a default 64x64 scene holds about 12 entries per run and a
+default 640x480 one about 85, a small fraction of the 4 bytes per entry of
+an int32 slot array. The worst case is a scene in which no two slots of one
+id are consecutive: one run per entry, so 16 bytes per entry, four times
+such an array.
 
 A reader expands the runs it needs back into slots with _expanded, one
 numpy pass with no loop over runs: an instance's runs give its slots depth
@@ -35,16 +37,6 @@ every entry sorted by id and then by slot. The few readers that need an id
 per entry rebuild one from the run table and drop it. Builders never sort
 slots: they cut the entries they hold, in their own order, into pieces of
 consecutive slots (_piece_heads) and sort and join them (_run_table).
-
-The runs are int32 where every stack plane of the frame fits int32, that is
-where (max depth + 1) * height * width <= 2**31 - 1, and intp otherwise, and
-expanded slots keep that dtype. Arithmetic on int32 slots stays int32, so
-every value the readers compute from slots (the frame area, a plane's
-offset, the pixel-major sort key of _scene_cells) is kept below that bound.
-A search in the slots takes its key in their dtype (_searched), as a Python
-int key makes numpy convert them all, and an index made from slots is cast
-to intp (_index) before it indexes, which is faster than numpy's own cast
-inside the indexing.
 
 Cells are the occupied (or all) row-major pixel indices, their stack
 lengths and all their ids front to back in one flat array: the scene
@@ -56,6 +48,7 @@ Every crop on a support box becomes a full frame through _paste.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
@@ -253,33 +246,11 @@ def _ranks(lengths: np.ndarray) -> np.ndarray:
     return np.arange(firsts.size) - firsts
 
 
-def _pixel_box(pixels: np.ndarray, width: int) -> Optional[_Box]:
-    """Smallest box around row-major pixel indices of a frame this wide;
-    None when there are none. The rows are those of the least and greatest
-    index."""
-    if not pixels.size:
-        return None
-    cols = pixels % width
-    return (int(pixels.min()) // width, int(pixels.max()) // width + 1,
-            int(cols.min()), int(cols.max()) + 1)
-
-
-def _searched(slots: np.ndarray, bound: int) -> int:
-    """How many of the ascending slots lie below bound, a slot value of the
-    scene, searched in the slots' dtype."""
-    return int(slots.searchsorted(slots.dtype.type(bound)))
-
-
-def _index(slots: np.ndarray) -> np.ndarray:
-    """slots as an intp index array, copied only when they are not intp."""
-    return slots.astype(np.intp, copy=False)
-
-
 def _expanded(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The slots of runs, run after run, in the runs' dtype: start, start +
-    1, ... for each run's length. Each slot is its place in the output plus
-    its run's start less the place where the run begins there."""
-    shift = np.add.accumulate(lengths, dtype=lengths.dtype)
+    """The slots of intp runs, run after run: start, start + 1, ... for
+    each run's length. Each slot is its place in the output plus its run's
+    start less the place where the run begins there."""
+    shift = lengths.cumsum()
     shift -= lengths
     np.subtract(starts, shift, out=shift)
     slots = shift.repeat(lengths)
@@ -321,14 +292,48 @@ def _run_table(
     return ids[id_runs[:-1]], id_runs, starts, lengths
 
 
+def _entry_runs(
+    slots: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The _run_table of entries given as distinct integer slots and their
+    ids, in any order."""
+    bounds = np.flatnonzero(_piece_heads(slots, ids))
+    heads = bounds[:-1]
+    return _run_table(ids[heads], slots[heads], bounds[1:] - heads)
+
+
+def _run_boxes(
+    width: int, height: int, id_runs: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> list[_Box]:
+    """The support box of each id of a run table on this frame, in the
+    ids' order, from one pass over the runs: a run inside one row gives
+    that row and its columns, a run over a row end every column of its
+    rows, and a run that goes on into the next plane the whole frame."""
+    if not starts.size:
+        return []
+    area = height * width
+    first = starts % area
+    last = first + lengths - 1  # area or more where the run goes on into the next plane
+    y0, y1 = first // width, last // width + 1
+    x0, x1 = first % width, last % width + 1
+    wide = y1 - y0 > 1
+    x0[wide], x1[wide] = 0, width
+    deep = last >= area
+    y0[deep], y1[deep] = 0, height
+    heads = id_runs[:-1]
+    return list(zip(*(
+        reduce.reduceat(bound, heads).tolist()
+        for reduce, bound in ((np.minimum, y0), (np.maximum, y1), (np.minimum, x0), (np.maximum, x1))
+    )))
+
+
 def _scene_cells(scene: "LayerStackScene", dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cells of the scene's stacks: the occupied pixels in order, or every
     pixel when dense, their stack lengths and their ids front to back, with
     empty slots dropped."""
     area = scene.height * scene.width
     depth, pixel = np.divmod(scene._entry_slots(), area)
-    # slots are distinct, so so are the keys: pixel by pixel, front to back,
-    # and all below planes * area, so in the slots' dtype
+    # slots are distinct, so so are the keys: pixel by pixel, front to back
     order = (pixel * (int(depth.max(initial=0)) + 1) + depth).argsort()
     pixel = pixel[order]
     ids = scene._entry_ids()[order]
@@ -350,11 +355,10 @@ class LayerStackScene:
 
     A scene holds only the occupied slots of its stacks, and those as
     runs: for each id, the runs of consecutive values among its sorted
-    slots, a start slot and a length each, 8 bytes per run wherever the
-    stacks' planes fit int32, and one (id, first run) pair per id (see the
-    module docstring). Most runs hold many slots; a scene in which no two
-    slots of one id are consecutive holds 8 bytes per entry. It keeps no
-    array it is given.
+    slots, a start slot and a length each, 16 bytes per run, and one (id,
+    first run) pair per id (see the module docstring). Most runs hold many
+    slots; a scene in which no two slots of one id are consecutive holds 16
+    bytes per entry. It keeps no array it is given.
     Library functions read the runs alone: from_layers, generate and the
     scene readers hand them over, and per-instance reads, stack_at,
     depth_counts, validate_scene, compositor.render, equality, pickling,
@@ -363,13 +367,12 @@ class LayerStackScene:
     it, read-only, and the first array stored is the one every later access
     returns, so threads racing to build it all get one array.
 
-    The scene also carries the support boxes of its instances in _boxes:
-    the smallest box around the pixels whose stack holds an id, or None when
-    no pixel does. from_layers and generate know every box from the pixels
-    they hand _from_pixels. In any other scene, the first read of an
-    instance finds its box from the instance's slots and keeps it. The
-    boxes take no part in equality. Threads that read one instance at once
-    find the same box.
+    The scene also carries the support box of each listed instance in
+    _boxes, a read-only mapping from id to the smallest box around the
+    pixels whose stack holds the id, or None when no pixel does. Every
+    builder finds them all with the run table, in one pass over the runs
+    (see _keep), so reads never write them. The boxes take no part in
+    equality.
 
     The scene also keeps, in _gt_orders, the gt depth order of its
     overlapping instance pairs for the last (c, gt_confidence) that
@@ -401,7 +404,7 @@ class LayerStackScene:
         flat = stacks.reshape(-1)
         slots = np.flatnonzero(flat)
         del self.__dict__["stacks"]  # built again from the runs on first access
-        self._keep_entries(slots, flat[slots])
+        self._keep(*_entry_runs(slots, flat[slots]))
 
     def _check_head(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -415,31 +418,24 @@ class LayerStackScene:
     def _keep(
         self, ids: np.ndarray, id_runs: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> None:
-        """Hold the run table of _run_table: _ids (int32, ascending),
-        _id_runs (intp, so id k's runs are those from _id_runs[k] up to
-        _id_runs[k + 1]), and each run's start slot and length, _starts and
-        _lengths, as int32 where every stack plane of the frame fits int32
-        and as intp otherwise. The kept arrays are made read-only."""
-        area = self.height * self.width
-        last = int((starts + lengths).max(initial=1)) - 1
-        kept = np.int32 if (last // area + 1) * area <= _INT32_MAX else np.intp
+        """Hold the run table of _run_table, _ids (int32, ascending),
+        _id_runs (so id k's runs are those from _id_runs[k] up to
+        _id_runs[k + 1]) and each run's start slot and length (_starts,
+        _lengths), the last three as intp, and the box of every listed id
+        in _boxes, as a tuple of Python ints, or None for an id that no
+        pixel holds. The kept arrays and _boxes are read-only."""
         table = (
             ids.astype(np.int32, copy=False),
             id_runs.astype(np.intp, copy=False),
-            starts.astype(kept, copy=False),
-            lengths.astype(kept, copy=False),
+            starts.astype(np.intp, copy=False),
+            lengths.astype(np.intp, copy=False),
         )
         for array in table:
             array.setflags(write=False)
         self.__dict__.update(zip(("_ids", "_id_runs", "_starts", "_lengths"), table))
-        self.__dict__.update(_boxes={}, _gt_orders=None)
-
-    def _keep_entries(self, slots: np.ndarray, ids: np.ndarray) -> None:
-        """Hold the entries given as distinct integer slots and their ids,
-        in any order, as runs."""
-        bounds = np.flatnonzero(_piece_heads(slots, ids))
-        heads = bounds[:-1]
-        self._keep(*_run_table(ids[heads], slots[heads], bounds[1:] - heads))
+        held = dict(zip(table[0].tolist(), _run_boxes(self.width, self.height, *table[1:])))
+        boxes = {record.id: held.get(record.id) for record in self.instances}
+        self.__dict__.update(_boxes=MappingProxyType(boxes), _gt_orders=None)
 
     def _entry_slots(self) -> np.ndarray:
         """The slot of every entry, sorted by id and then by slot, expanded
@@ -454,26 +450,27 @@ class LayerStackScene:
         return self._ids.repeat(np.diff(self._id_runs)).repeat(self._lengths)
 
     @classmethod
+    def _of_runs(
+        cls, width: int, height: int, instances: Sequence[InstanceRecord], ids: np.ndarray,
+        id_runs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+    ) -> "LayerStackScene":
+        """The scene of a run table as _run_table gives it, with its head
+        fields checked; pickles call it with the table a scene holds."""
+        scene = object.__new__(cls)
+        scene.__dict__.update(width=width, height=height, instances=instances)
+        scene._check_head()
+        scene._keep(ids, id_runs, starts, lengths)
+        return scene
+
+    @classmethod
     def _of_entries(
         cls, width: int, height: int, instances: Sequence[InstanceRecord], slots: np.ndarray,
         ids: np.ndarray,
     ) -> "LayerStackScene":
         """The scene of these entries, distinct slots and an id for each,
-        in any order. Pickles call it with the entries sorted by id and
-        then by slot."""
-        scene = cls._headed(width, height, instances)
-        scene._keep_entries(slots, ids)
-        return scene
-
-    @classmethod
-    def _headed(
-        cls, width: int, height: int, instances: Sequence[InstanceRecord]
-    ) -> "LayerStackScene":
-        """A scene with its head fields set and checked, and no entries yet."""
-        scene = object.__new__(cls)
-        scene.__dict__.update(width=width, height=height, instances=instances)
-        scene._check_head()
-        return scene
+        in any order: what pickles of earlier layouts call, with the
+        entries sorted by id and then by slot."""
+        return cls._of_runs(width, height, instances, *_entry_runs(slots, ids))
 
     @classmethod
     def _from_cells(
@@ -509,13 +506,8 @@ class LayerStackScene:
         area = height * width
         if max(int(lengths.max(initial=0)), 1) * area * 4 > _INTP_MAX:  # 4 bytes per int32 slot
             raise ValueError("the stacks are larger than the maximum possible array size")
-        slots = _ranks(lengths)[order] * area + pixel
-        bounds = np.flatnonzero(_piece_heads(slots, which))
-        heads = bounds[:-1]
-        codes, id_runs, starts, runs = _run_table(which[heads], slots[heads], bounds[1:] - heads)
-        scene = cls._headed(width, height, instances)
-        scene._keep(names[codes], id_runs, starts, runs)
-        return scene
+        codes, *runs = _entry_runs(_ranks(lengths)[order] * area + pixel, which)
+        return cls._of_runs(width, height, instances, names[codes], *runs)
 
     @classmethod
     def from_layers(
@@ -550,29 +542,26 @@ class LayerStackScene:
     ) -> "LayerStackScene":
         """The scene of (record, pixels) pairs ordered front to back, pixels
         being the ascending row-major indices of the record's amodal mask:
-        what from_layers builds from the masks. Each record's box is taken
-        from its pixels. Raises ValueError for an id listed twice, and for
-        an id past int32 that some pixel holds.
+        what from_layers builds from the masks. Raises ValueError for an id
+        listed twice, and for an id past int32 that some pixel holds.
 
         In pixel order, a record's slots (its depth at a pixel times the
         frame area, plus the pixel) go up by one along each row stretch at
         one depth, so they fall into few pieces, which _run_table sorts;
         the slots themselves are never sorted."""
-        records = []
-        boxes: dict[int, Optional[_Box]] = {}
+        records: dict[int, InstanceRecord] = {}
         held: list[int] = []  # every id a pixel holds, with its slots below
         slots: list[np.ndarray] = []
         firsts: list[int] = []  # where each held id's slots begin among all of them
         area = height * width
         count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
         for record, index in layers:
-            if record.id in boxes:
+            if record.id in records:
                 raise ValueError(f"duplicate instance id {record.id}")
             # an id that no pixel uses never enters the stacks, so it may exceed int32
             if record.id > _INT32_MAX and index.size:
                 raise ValueError(f"instance id {record.id} does not fit the int32 stacks")
-            boxes[record.id] = _pixel_box(index, width)
-            records.append(record)
+            records[record.id] = record
             if index.size:
                 depth = count[index]
                 count[index] = depth + 1
@@ -588,10 +577,8 @@ class LayerStackScene:
         heads = bounds[:-1]
         # the id of each piece: that of the last record to begin at or before it
         ids = np.array(held, dtype=np.int32)[firsts.searchsorted(heads, side="right") - 1]
-        scene = cls._headed(width, height, tuple(records))
-        scene._keep(*_run_table(ids, slots[heads], bounds[1:] - heads))
-        scene._boxes.update(boxes)
-        return scene
+        runs = _run_table(ids, slots[heads], bounds[1:] - heads)
+        return cls._of_runs(width, height, tuple(records.values()), *runs)
 
     def __getattr__(self, name: str):
         # reached only for names missing from the instance: stacks before its first build
@@ -601,7 +588,7 @@ class LayerStackScene:
         ends = self._starts + self._lengths
         depth = (int(ends.max()) - 1) // area + 1 if ends.size else 0
         stacks = np.zeros((depth, self.height, self.width), dtype=np.int32)
-        stacks.reshape(-1)[_index(self._entry_slots())] = self._entry_ids()
+        stacks.reshape(-1)[self._entry_slots()] = self._entry_ids()
         stacks.setflags(write=False)
         return self.__dict__.setdefault("stacks", stacks)
 
@@ -650,8 +637,9 @@ class LayerStackScene:
     __hash__ = None
 
     def __reduce__(self):
-        return type(self)._of_entries, (
-            self.width, self.height, self.instances, self._entry_slots(), self._entry_ids()
+        return type(self)._of_runs, (
+            self.width, self.height, self.instances,
+            self._ids, self._id_runs, self._starts, self._lengths,
         )
 
     def __repr__(self) -> str:
@@ -740,20 +728,15 @@ def validate_scene(scene: LayerStackScene) -> list[SceneViolation]:
 def _instance_slots(scene: LayerStackScene, instance_id: int) -> tuple[Optional[_Box], np.ndarray]:
     """(box, slots) for a listed instance: its support box (None when no
     pixel holds it) and the slots of its entries, depth by depth from the
-    front and row-major within a depth. The first read of an instance finds
-    its box from those slots and keeps it. Raises UnknownInstanceError for
-    an id the scene does not list."""
-    if instance_id not in scene._boxes:  # a kept box is that of a listed id
+    front and row-major within a depth. Raises UnknownInstanceError for an
+    id the scene does not list."""
+    if instance_id not in scene._boxes:  # the boxes are those of the listed ids
         scene.record_of(instance_id)
-    runs = slice(0)  # a listed id past int32 is in no stack
-    if instance_id <= _INT32_MAX:
+    box, runs = scene._boxes[instance_id], slice(0)
+    if box is not None:  # some stack holds the id, so it fits int32
         k = int(scene._ids.searchsorted(np.int32(instance_id)))  # in the ids' dtype
-        if k < scene._ids.size and scene._ids[k] == instance_id:
-            runs = slice(scene._id_runs[k], scene._id_runs[k + 1])
-    slots = _expanded(scene._starts[runs], scene._lengths[runs])
-    if instance_id not in scene._boxes:
-        scene._boxes[instance_id] = _pixel_box(slots % (scene.height * scene.width), scene.width)
-    return scene._boxes[instance_id], slots
+        runs = slice(scene._id_runs[k], scene._id_runs[k + 1])
+    return box, _expanded(scene._starts[runs], scene._lengths[runs])
 
 
 def _instance_levels(
@@ -775,8 +758,8 @@ def _instance_levels(
     flat = rows.reshape(-1)
     end, depth = slots.size, int(slots[-1]) // area
     while end:
-        start = _searched(slots, depth * area)
-        flat[_index(slots[start:end] - (depth * area + box[0] * width))] = depth
+        start = int(slots.searchsorted(depth * area))
+        flat[slots[start:end] - (depth * area + box[0] * width)] = depth
         end, depth = start, depth - 1
     return box, levels
 
@@ -788,9 +771,9 @@ def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMas
     _, slots = _instance_slots(scene, instance_id)
     area = scene.height * scene.width
     amodal = np.zeros(area, dtype=bool)
-    amodal[_index(slots % area)] = True
+    amodal[slots % area] = True
     visible = np.zeros(area, dtype=bool)
-    visible[_index(slots[: _searched(slots, area)])] = True
+    visible[slots[: int(slots.searchsorted(area))]] = True
     shape = (scene.height, scene.width)
     return BinaryMask._fresh(amodal.reshape(shape)), BinaryMask._fresh(visible.reshape(shape))
 

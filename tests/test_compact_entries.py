@@ -1,19 +1,18 @@
 """A scene holds each id's sorted slots as runs of consecutive values.
 
-A run is a start slot and a length, both int32 where every stack plane of
-the frame fits int32, that is where (max depth + 1) * height * width <=
-2**31 - 1, and intp otherwise; the ids are held once each. The sparse
-scenes here sit on both sides of that boundary with their entries in the
-bottom-right corner, so their slots are the largest the dtype holds. They go
-through every read that does not allocate the frame (so not depth_counts,
-visibility_levels or stacks).
+A run is a start slot and a length, both intp; the ids are held once each.
+The sparse scenes here sit on both sides of the boundary where (max depth +
+1) * height * width passes 2**31 - 1, with their entries in the
+bottom-right corner, so their slots are the largest an int32 slot held or
+just past it. They go through every read that does not allocate the frame
+(so not depth_counts, visibility_levels or stacks).
 
 Before runs, a scene held every occupied slot with the id held there
 (intp and then int32 slots, per-entry ids and then ids held once per id).
 That per-entry layout is kept below as the oracle: on any entries, gaps,
 repeated, negative and unlisted ids and the CORNERS frames included, every
-scene reader must give what it gives. Pickles written by both earlier
-layouts must still load.
+scene reader must give what it gives. Pickles hold the run table, and
+pickles written by both earlier layouts must still load.
 """
 
 import pickle
@@ -58,12 +57,12 @@ def corner_doc(side, deep):
     }
 
 
-CORNERS = {  # (side, deep): the runs' dtype
-    (46340, False): np.int32,  # 1 plane of 2,147,395,600 slots
-    (46340, True): np.intp,  # 2 planes: past int32
-    (46341, False): np.intp,  # 1 plane of 2,147,488,281 slots: past int32
-    (32767, True): np.int32,  # 2 planes of 1,073,676,289 slots: the last slot is 2,147,352,577
-}
+CORNERS = [  # (side, deep)
+    (46340, False),  # 1 plane of 2,147,395,600 slots
+    (46340, True),  # 2 planes: past int32
+    (46341, False),  # 1 plane of 2,147,488,281 slots: past int32
+    (32767, True),  # 2 planes of 1,073,676,289 slots: the last slot is 2,147,352,577
+]
 
 
 def run_dtype(scene):
@@ -76,7 +75,7 @@ def run_dtype(scene):
 def test_corner_scene_reads_at_the_int32_slot_boundary(side, deep, tmp_path):
     doc = corner_doc(side, deep)
     scene = scene_from_dict(doc)
-    assert run_dtype(scene) == CORNERS[side, deep]
+    assert run_dtype(scene) == np.intp
     far = side - 1  # the last row and column
     box_1 = (far, side, far - 1, side if deep else far)
     assert _instance_slots(scene, 1)[0] == box_1
@@ -112,9 +111,9 @@ def held_bytes(scene):
 
 
 def run_bound(scene):
-    """8 bytes per slot run (an int32 start and length) and 12 per id (an
+    """16 bytes per slot run (an intp start and length) and 12 per id (an
     int32 id and an intp first run), with the run count after the last."""
-    return 8 * scene._lengths.size + 12 * scene._ids.size + 8
+    return 16 * scene._lengths.size + 12 * scene._ids.size + 8
 
 
 def per_entry_bytes(scene):
@@ -123,27 +122,27 @@ def per_entry_bytes(scene):
     return 4 * int(scene._lengths.sum()) + 12 * scene._ids.size + 8
 
 
-def test_an_order_256_scene_holds_8_bytes_per_slot_run_and_a_constant_per_id():
+def test_order_256_scene_holds_16_bytes_per_slot_run_and_a_constant_per_id():
     scene = generate(GenConfig(seed=0, width=256, height=256, object_count_range=(8, 12),
                                size_range=(0.15, 0.4)))
-    assert int(scene._lengths.sum()) > 10_000 and run_dtype(scene) == np.int32
+    assert int(scene._lengths.sum()) > 10_000 and run_dtype(scene) == np.intp
     assert held_bytes(scene) <= run_bound(scene)
     assert 8 * held_bytes(scene) <= per_entry_bytes(scene)
 
 
-def test_a_640x480_scene_holds_8_bytes_per_slot_run_and_a_constant_per_id():
+def test_a_640x480_scene_holds_16_bytes_per_slot_run_and_a_constant_per_id():
     scene = generate(GenConfig(seed=0, width=640, height=480))
-    assert int(scene._lengths.sum()) > 50_000 and run_dtype(scene) == np.int32
+    assert int(scene._lengths.sum()) > 50_000 and run_dtype(scene) == np.intp
     assert held_bytes(scene) <= run_bound(scene)
     assert 8 * held_bytes(scene) <= per_entry_bytes(scene)
 
 
-def test_a_scene_without_two_consecutive_slots_of_one_id_holds_8_bytes_per_entry():
+def test_a_scene_with_no_consecutive_slots_of_one_id_holds_16_bytes_per_slot():
     # two ids taking turns slot by slot: neither holds two consecutive slots
     stacks = (np.arange(63) % 2 + 1).astype(np.int32).reshape(1, 7, 9)
     scene = LayerStackScene(9, 7, (InstanceRecord(1), InstanceRecord(2)), stacks)
     assert scene._lengths.size == 63 and (scene._lengths == 1).all()
-    assert held_bytes(scene) == 8 * 63 + 12 * 2 + 8
+    assert held_bytes(scene) == 16 * 63 + 12 * 2 + 8
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def old_scene():
 
 def test_a_pickle_of_per_entry_ids_and_intp_slots_still_loads():
     scene = pickle.loads(OLD_PICKLE)
-    assert scene == old_scene() and run_dtype(scene) == np.int32
+    assert scene == old_scene()
     assert np.array_equal(scene.stacks, old_scene().stacks)
     assert pickle.loads(pickle.dumps(scene)) == scene
 
@@ -212,7 +211,7 @@ def int32_scene():
 def test_a_pickle_of_int32_slots_with_ids_once_per_id_still_loads():
     scene = pickle.loads(INT32_PICKLE)
     built = int32_scene()
-    assert scene == built and run_dtype(scene) == np.int32
+    assert scene == built
     assert np.array_equal(scene.stacks, built.stacks)
     assert validate_scene(scene) == validate_scene(built)
     # id 1: slots 0-1, 9-12 (across the plane boundary) and 18
@@ -221,13 +220,28 @@ def test_a_pickle_of_int32_slots_with_ids_once_per_id_still_loads():
     assert pickle.loads(pickle.dumps(scene)) == scene
 
 
-def test_reduce_hands_the_slots_and_an_id_per_entry_to_of_entries():
+def test_reduce_hands_the_run_table_to_of_runs():
     scene = old_scene()
-    build, (width, height, instances, slots, ids) = scene.__reduce__()
-    assert build == LayerStackScene._of_entries
+    build, (width, height, instances, ids, id_runs, starts, lengths) = scene.__reduce__()
+    assert build == LayerStackScene._of_runs
     assert (width, height, instances) == (5, 4, scene.instances)
-    assert slots.tolist() == [0, 1, 15, 3, 4, 8, 26, 5, 6, 7, 21, 24]
-    assert ids.dtype == np.int32 and ids.tolist() == [1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3]
+    # the slots 0, 1, 15 | 3, 4, 8, 26 | 5, 6, 7, 21, 24 as runs
+    assert ids.dtype == np.int32 and ids.tolist() == [1, 2, 3]
+    assert id_runs.tolist() == [0, 2, 5, 8]
+    assert starts.tolist() == [0, 15, 3, 8, 26, 5, 21, 24]
+    assert lengths.tolist() == [2, 1, 2, 1, 1, 3, 1, 1]
+    assert build(width, height, instances, ids, id_runs, starts, lengths) == scene
+
+
+@pytest.mark.parametrize("config", [
+    GenConfig(seed=0, width=640, height=480),
+    GenConfig(seed=0, width=256, height=256, object_count_range=(8, 12), size_range=(0.15, 0.4)),
+], ids=["640x480", "order-256"])
+def test_a_pickle_takes_about_the_bytes_the_scene_holds(config):
+    scene = generate(config)
+    data = pickle.dumps(scene)
+    assert held_bytes(scene) < len(data) <= held_bytes(scene) + 1_024
+    assert pickle.loads(data) == scene
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +366,7 @@ def _entry_parts(draw):
     consecutive slots of one id, later stretches overwriting earlier ones:
     on a small frame, or on a CORNERS frame with the stretches at the ends
     and starts of its planes and its last slot always held, so that its
-    runs take the dtype CORNERS gives."""
+    slots reach the last of the frame's planes."""
     corner = draw(st.sampled_from([None, *sorted(CORNERS)]))
     if corner is None:
         width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
@@ -394,10 +408,10 @@ def assert_reads_match_entries(scene, want):
         assert np.array_equal(got, expected)
     assert validate_scene(scene) == want.violations()
     build, args = scene.__reduce__()
-    assert build == LayerStackScene._of_entries
+    assert build == LayerStackScene._of_runs
     assert args[:3] == (want.width, want.height, scene.instances)
-    assert np.array_equal(args[3], want.slots) and np.array_equal(args[4], want.ids)
-    assert args[3].dtype == run_dtype(scene) and args[4].dtype == np.int32
+    assert all(mine is held for mine, held in zip(
+        args[3:], (scene._ids, scene._id_runs, scene._starts, scene._lengths)))
     twin = pickle.loads(pickle.dumps(scene))
     assert twin == scene and run_dtype(twin) == run_dtype(scene)
 

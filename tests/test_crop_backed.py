@@ -3,14 +3,13 @@ and maps hold only their box crop.
 
 A scene's entries must give every read what its dense stacks give, and no
 library path, validate_scene and render included, may build those stacks.
-The boxes of a scene must be those of its stacks, however the scene was
-made and whichever read found them, and every per-instance read must equal
-its full-stack expression, both on the read that finds the box and on the
-reads that use it. No map holds its frame until a caller reads values,
-however it was built, and no library path (the codec, the SDM writer and
-readers) builds it; when the frame is built it must be the +0.0 frame with
-the crop pasted in, bit for bit. Grids are compared as uint32 or int32
-views, so +0.0 and -0.0 differ.
+The boxes of a scene must be those of its stacks from construction, however
+the scene was made, and every per-instance read must equal its full-stack
+expression, both as the first read of a scene and on later reads. No map
+holds its frame until a caller reads values, however it was built, and no
+library path (the codec, the SDM writer and readers) builds it; when the
+frame is built it must be the +0.0 frame with the crop pasted in, bit for
+bit. Grids are compared as uint32 or int32 views, so +0.0 and -0.0 differ.
 """
 
 import copy
@@ -122,11 +121,12 @@ READS = {
 
 
 def assert_reads_match_stacks(scene):
-    """Each read, once as the read that finds the boxes of a fresh copy of
-    the scene and once more after them, equals its full-stack expression."""
+    """Each read, once as the first read of a fresh copy of the scene, which
+    holds the stacks' boxes at construction, and once more after the other
+    reads, equals its full-stack expression."""
     for first in READS:
         fresh = _plain(scene)
-        assert fresh._boxes == {}
+        assert_boxes_match_stacks(fresh)
         for name in (first, *READS):
             read, ref = READS[name]
             for instance_id in scene.ids():
@@ -170,7 +170,8 @@ def test_producers_seed_the_boxes_they_know(make):
     scene = make()
     assert_boxes_match_stacks(scene)
     plain = _plain(scene)
-    assert plain._boxes == {} and plain == scene
+    assert_boxes_match_stacks(plain)
+    assert plain == scene
     assert_reads_match_stacks(plain)
     assert plain._boxes == scene._boxes
 
@@ -180,7 +181,8 @@ def test_producers_seed_the_boxes_they_know(make):
 def test_read_scenes_have_the_boxes_of_their_stacks(make, stacks):
     scene = make()
     back = scene_from_dict(scene_to_dict(scene, stacks))
-    assert back == scene and back._boxes == {}
+    assert back == scene
+    assert_boxes_match_stacks(back)
     assert_reads_match_stacks(back)
     assert back._boxes == scene._boxes
 
