@@ -27,7 +27,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _instance_masks, _instance_slots, _local
+from .types import _front_pixels, _instance_masks, _instance_slots, _local
 
 __all__ = [
     "SHAPES",
@@ -291,13 +291,12 @@ def instance_color(instance_id: int) -> tuple[int, int, int]:
 
 def render(scene: LayerStackScene) -> np.ndarray:
     """Flat-color render: front-most instance wins, empty pixels are black.
-    Colours the depth-0 entries of each listed instance, whose slots are
-    their pixels, so it reads the scene's entries, not its stacks."""
-    area = scene.height * scene.width
-    image = np.zeros((area, 3), dtype=np.uint8)
+    Colours the front-most pixels of each listed instance, read from the
+    scene's entries, not its stacks."""
+    image = np.zeros((scene.height * scene.width, 3), dtype=np.uint8)
     for record in scene.instances:
         _, slots = _instance_slots(scene, record.id)
-        image[slots[: int(slots.searchsorted(area))]] = instance_color(record.id)
+        image[_front_pixels(scene, slots)] = instance_color(record.id)
     return image.reshape(scene.height, scene.width, 3)
 
 
@@ -311,18 +310,16 @@ def occlusion_rate(scene: LayerStackScene, instance_id: int) -> float:
 
 
 def scene_annotations(scene: LayerStackScene) -> list[InstanceAnnotation]:
-    """Ground-truth annotations (score 1.0) for every instance in the scene."""
-    out = []
-    for record in scene.instances:
-        out.append(
-            InstanceAnnotation.from_masks(
-                record.id,
-                *_instance_masks(scene, record.id),
-                score=1.0,
-                category=record.category,
-            )
+    """Ground-truth annotations (score 1.0) for the instances of the scene,
+    in list order. A listed instance that no pixel's stack holds has an
+    empty amodal mask and no occlusion rate, so it gets no annotation."""
+    return [
+        InstanceAnnotation.from_masks(
+            record.id, *_instance_masks(scene, record.id), score=1.0, category=record.category
         )
-    return out
+        for record in scene.instances
+        if scene._boxes[record.id] is not None
+    ]
 
 
 def _disk_morph(bits: np.ndarray, radius: int, erode: bool) -> np.ndarray:

@@ -34,9 +34,12 @@ A reader expands the runs it needs back into slots with _expanded, one
 numpy pass with no loop over runs: an instance's runs give its slots depth
 by depth from the front and row-major within a depth, and all runs give
 every entry sorted by id and then by slot. The few readers that need an id
-per entry rebuild one from the run table and drop it. Builders never sort
-slots: they cut the entries they hold, in their own order, into pieces of
-consecutive slots (_piece_heads) and sort and join them (_run_table).
+per entry rebuild one from the run table and drop it. Other modules read
+slots only through _instance_slots and _front_pixels. Builders never sort
+slots: each hands its entries, in its own order, to _entry_runs (the public
+constructor directly, the others through LayerStackScene._of_entries),
+which cuts them into pieces of one id and consecutive slots for _run_table
+to sort and join.
 
 Cells are the occupied (or all) row-major pixel indices, their stack
 lengths and all their ids front to back in one flat array: the scene
@@ -258,18 +261,6 @@ def _expanded(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _piece_heads(slots: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
-    """True where a piece of the entries begins, in the order given, and
-    once more after the last entry, so its nonzero places bound the pieces.
-    A piece is a stretch of one id in which every slot is one past the one
-    before."""
-    head = np.ones(slots.size + 1, dtype=bool)
-    np.not_equal(slots[1:], slots[:-1] + 1, out=head[1:-1])
-    if ids is not None:
-        head[1:-1] |= ids[1:] != ids[:-1]
-    return head
-
-
 def _run_table(
     ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -296,8 +287,12 @@ def _entry_runs(
     slots: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The _run_table of entries given as distinct integer slots and their
-    ids, in any order."""
-    bounds = np.flatnonzero(_piece_heads(slots, ids))
+    ids, in any order: the entries are cut, in the order given, into pieces
+    of one id in which every slot is one past the one before."""
+    head = np.ones(slots.size + 1, dtype=bool)
+    np.not_equal(slots[1:], slots[:-1] + 1, out=head[1:-1])
+    head[1:-1] |= ids[1:] != ids[:-1]
+    bounds = np.flatnonzero(head)
     heads = bounds[:-1]
     return _run_table(ids[heads], slots[heads], bounds[1:] - heads)
 
@@ -360,7 +355,8 @@ class LayerStackScene:
     slots; a scene in which no two slots of one id are consecutive holds 16
     bytes per entry. It keeps no array it is given.
     Library functions read the runs alone: from_layers, generate and the
-    scene readers hand them over, and per-instance reads, stack_at,
+    scene readers hand their entries to _of_entries, which cuts them into
+    runs, and per-instance reads, stack_at,
     depth_counts, validate_scene, compositor.render, equality, pickling,
     repr and the scene writers read them, expanding into slots only the
     runs they need. stacks is built from the runs only when a caller reads
@@ -468,8 +464,8 @@ class LayerStackScene:
         ids: np.ndarray,
     ) -> "LayerStackScene":
         """The scene of these entries, distinct slots and an id for each,
-        in any order: what pickles of earlier layouts call, with the
-        entries sorted by id and then by slot."""
+        in any order: the last step of from_layers, generate and the scene
+        readers, and what pickles of earlier layouts call."""
         return cls._of_runs(width, height, instances, *_entry_runs(slots, ids))
 
     @classmethod
@@ -492,9 +488,9 @@ class LayerStackScene:
         no planes.
 
         One stable sort by id puts each id's entries in cell order, so an
-        id twice in a cell sits next to its twin, and each id's entries
-        fall into pieces of consecutive slots, which _run_table sorts: few
-        pieces where the cells come in pixel order, as they do from the
+        id twice in a cell sits next to its twin, and the entries go to
+        _of_entries in that order: each id's fall into pieces of consecutive
+        slots, few where the cells come in pixel order, as they do from the
         writers up to the string order of keys of different lengths."""
         cells = np.arange(lengths.size) if pixels is None else pixels.astype(np.intp, copy=False)
         pixel = cells.repeat(lengths)
@@ -506,8 +502,8 @@ class LayerStackScene:
         area = height * width
         if max(int(lengths.max(initial=0)), 1) * area * 4 > _INTP_MAX:  # 4 bytes per int32 slot
             raise ValueError("the stacks are larger than the maximum possible array size")
-        codes, *runs = _entry_runs(_ranks(lengths)[order] * area + pixel, which)
-        return cls._of_runs(width, height, instances, names[codes], *runs)
+        slots = _ranks(lengths)[order] * area + pixel
+        return cls._of_entries(width, height, instances, slots, names[which])
 
     @classmethod
     def from_layers(
@@ -547,12 +543,11 @@ class LayerStackScene:
 
         In pixel order, a record's slots (its depth at a pixel times the
         frame area, plus the pixel) go up by one along each row stretch at
-        one depth, so they fall into few pieces, which _run_table sorts;
-        the slots themselves are never sorted."""
+        one depth, so they fall into few pieces; all records' slots go to
+        _of_entries record after record, never sorted."""
         records: dict[int, InstanceRecord] = {}
         held: list[int] = []  # every id a pixel holds, with its slots below
         slots: list[np.ndarray] = []
-        firsts: list[int] = []  # where each held id's slots begin among all of them
         area = height * width
         count = np.zeros(area, dtype=np.intp)  # stack length so far: the depth of the next id
         for record, index in layers:
@@ -566,27 +561,17 @@ class LayerStackScene:
                 depth = count[index]
                 count[index] = depth + 1
                 held.append(record.id)
-                firsts.append(firsts[-1] + slots[-1].size if slots else 0)
                 slots.append(depth * area + index)
-        # one cut over all records' slots, a piece beginning at each record's first
+        ids = np.array(held, dtype=np.int32).repeat([piece.size for piece in slots])
         slots = np.concatenate([np.empty(0, dtype=np.intp), *slots])
-        firsts = np.array(firsts, dtype=np.intp)
-        head = _piece_heads(slots)
-        head[firsts] = True
-        bounds = np.flatnonzero(head)
-        heads = bounds[:-1]
-        # the id of each piece: that of the last record to begin at or before it
-        ids = np.array(held, dtype=np.int32)[firsts.searchsorted(heads, side="right") - 1]
-        runs = _run_table(ids, slots[heads], bounds[1:] - heads)
-        return cls._of_runs(width, height, tuple(records.values()), *runs)
+        return cls._of_entries(width, height, tuple(records.values()), slots, ids)
 
     def __getattr__(self, name: str):
         # reached only for names missing from the instance: stacks before its first build
         if name != "stacks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         area = self.height * self.width
-        ends = self._starts + self._lengths
-        depth = (int(ends.max()) - 1) // area + 1 if ends.size else 0
+        depth = (int((self._starts + self._lengths).max(initial=0)) + area - 1) // area
         stacks = np.zeros((depth, self.height, self.width), dtype=np.int32)
         stacks.reshape(-1)[self._entry_slots()] = self._entry_ids()
         stacks.setflags(write=False)
@@ -605,10 +590,14 @@ class LayerStackScene:
         """Front-to-back instance ids at one pixel (empty slots dropped)."""
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height} scene")
-        # the pixel's entries; their slots grow with depth
-        slots = self._entry_slots()
-        here = slots % (self.height * self.width) == y * self.width + x
-        return tuple(self._entry_ids()[here][slots[here].argsort()].tolist())
+        # the pixel's slot in each plane, front to back, against every run;
+        # a slot lies in one run at most
+        area = self.height * self.width
+        ends = self._starts + self._lengths
+        depth = (int(ends.max(initial=0)) + area - 1) // area
+        slots = np.arange(0, depth * area, area)[:, None] + (y * self.width + x)
+        _, runs = ((self._starts <= slots) & (slots < ends)).nonzero()
+        return tuple(self._ids.repeat(np.diff(self._id_runs))[runs].tolist())
 
     def depth_counts(self) -> np.ndarray:
         """Per-pixel stack lengths as an (height, width) int32 grid."""
@@ -764,16 +753,21 @@ def _instance_levels(
     return box, levels
 
 
+def _front_pixels(scene: LayerStackScene, slots: np.ndarray) -> np.ndarray:
+    """The pixels where an instance is front-most, from its slots as
+    _instance_slots gives them: the leading depth-0 slots, which are pixels."""
+    return slots[: int(slots.searchsorted(scene.height * scene.width))]
+
+
 def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMask, BinaryMask]:
     """Amodal and visible mask of one instance, from its entries: the
-    pixels of all of them, and of those at depth 0, whose slots are their
-    pixels."""
+    pixels of all of them, and its _front_pixels."""
     _, slots = _instance_slots(scene, instance_id)
     area = scene.height * scene.width
     amodal = np.zeros(area, dtype=bool)
     amodal[slots % area] = True
     visible = np.zeros(area, dtype=bool)
-    visible[slots[: int(slots.searchsorted(area))]] = True
+    visible[_front_pixels(scene, slots)] = True
     shape = (scene.height, scene.width)
     return BinaryMask._fresh(amodal.reshape(shape)), BinaryMask._fresh(visible.reshape(shape))
 

@@ -49,9 +49,11 @@ def stack_order_oracle(scene: LayerStackScene, id_a: int, id_b: int) -> OrderVer
     """
     votes = np.zeros((scene.height, scene.width), dtype=np.int64)
     shared = np.zeros((scene.height, scene.width), dtype=bool)
+    planes = scene.stacks.tolist()
     for y in range(scene.height):
         for x in range(scene.width):
-            stack = scene.stack_at(x, y)
+            # the pixel's non-zero ids, front to back
+            stack = [plane[y][x] for plane in planes if plane[y][x]]
             if id_a in stack and id_b in stack:
                 shared[y, x] = True
                 votes[y, x] = np.sign(stack.index(id_b) - stack.index(id_a))

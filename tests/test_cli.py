@@ -9,17 +9,22 @@ import pytest
 
 import semdist
 from semdist import (
+    BinaryMask,
     GenConfig,
+    InstanceRecord,
     LayerStackScene,
+    PerturbConfig,
     decode_levels,
     encode_semdist,
     generate,
+    perturb,
     read_annotations,
     read_pgm,
     read_ppm,
     read_scene,
     read_semdist,
     render,
+    scene_annotations,
     semdist_to_bytes,
     visible_mask_of,
     write_annotations,
@@ -247,6 +252,36 @@ def test_perturb_drop_occluded_checked_at_parse_time(tmp_path, scene_file, capsy
     assert not out.exists()
 
 
+def test_perturb_drop_occluded_writes_what_perturb_gives(tmp_path, capsys):
+    scene = generate(GenConfig(seed=0))
+    gt, out, want = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "want.json"
+    write_scene(scene, gt)
+    assert main(["perturb", "--gt", str(gt), "--drop-occluded", "0.5", "--score-noise", "0.1",
+                 "--out", str(out)]) == 0
+    config = PerturbConfig(drop_occluded_prob=0.5, score_noise=0.1)
+    kept = perturb(scene_annotations(scene), config)
+    assert 0 < len(kept) < len(scene.instances)  # the draw drops some instance, not all
+    write_annotations(scene.width, scene.height, kept, want)
+    assert out.read_bytes() == want.read_bytes()
+    assert capsys.readouterr().out == f"wrote {len(kept)} annotations to {out}\n"
+
+
+def test_every_command_takes_a_scene_with_an_instance_no_pixel_holds(tmp_path, capsys):
+    mask = BinaryMask(np.array([[1, 1, 0], [0, 1, 1]], dtype=bool))
+    scene = LayerStackScene.from_layers(
+        3, 2, [(InstanceRecord(1), mask), (InstanceRecord(2), BinaryMask.zeros(3, 2))]
+    )
+    path, pred = tmp_path / "s.json", tmp_path / "pred.json"
+    write_scene(scene, path)
+    assert main(["eval", "--gt", str(path), "--pred", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ap: 1.0000\n")
+    assert main(["perturb", "--gt", str(path), "--out", str(pred)]) == 0
+    assert [ann.id for ann in read_annotations(pred)[2]] == [1]
+    assert main(["encode", "--scene", str(path), "--out", str(tmp_path / "maps")]) == 0
+    assert not read_semdist(tmp_path / "maps" / "s_0002.sdm").values.any()
+    assert main(["render", "--scene", str(path), "--out", str(tmp_path / "s.ppm")]) == 0
+
+
 @pytest.mark.parametrize("flag, value", [("--erode", "-1"), ("--dilate", "-2"),
                                          ("--score-noise", "-0.5")])
 def test_perturb_negative_config_exits_one(tmp_path, scene_file, capsys, flag, value):
@@ -414,6 +449,20 @@ def test_usage_errors_exit_two(capsys):
     assert main(["generate", "--objects", "5..2", "--out", "x"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("generate", "--count", "0", "expected a positive integer, got 0"),
+    ("generate", "--count", "x", "expected an integer, got 'x'"),
+    ("generate", "--objects", "3-6", "expected \"MIN..MAX\", got '3-6'"),
+    ("perturb", "--drop-occluded", "x", "expected a number, got 'x'"),
+])
+def test_bad_argument_values_exit_two(tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "out"
+    given = ["--gt", str(tmp_path / "gt.json")] if command == "perturb" else []
+    assert main([command, *given, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"{flag}: {message}\n")
+    assert not out.exists()
 
 
 def test_help_exits_zero(capsys):

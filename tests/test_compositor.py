@@ -3,6 +3,7 @@ import pytest
 
 from semdist import (
     SHAPES,
+    BinaryMask,
     GenConfig,
     GenerationError,
     InstanceRecord,
@@ -10,6 +11,7 @@ from semdist import (
     OrderVerdict,
     PerturbConfig,
     ZeroAreaError,
+    encode_scene,
     encode_semdist,
     generate,
     instance_color,
@@ -139,6 +141,16 @@ class TestOcclusionRate:
         assert by_id[2].occlusion_rate == 0.5
         assert by_id[1].score == 1.0
         assert by_id[1].category == "front"
+
+    def test_annotations_skip_a_listed_instance_no_pixel_holds(self):
+        mask = BinaryMask(np.array([[1, 1, 0], [0, 1, 1]], dtype=bool))
+        scene = LayerStackScene.from_layers(
+            3, 2, [(InstanceRecord(1), mask), (InstanceRecord(2), BinaryMask.zeros(3, 2))]
+        )
+        assert validate_scene(scene) == []
+        (annotation,) = scene_annotations(scene)
+        assert annotation.id == 1 and annotation.amodal == mask and annotation.occlusion_rate == 0.0
+        assert not encode_scene(scene)[2].values.any()
 
 
 class TestPerturb:

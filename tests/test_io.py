@@ -725,6 +725,25 @@ class TestSceneTextReader:
         assert _scene_from_text(text) is None
         _assert_same_outcome(*_read_both(text))
 
+    def test_a_stacks_block_never_closed_is_left_to_the_dict_reader(self, tmp_path):
+        text = '{"height": 1, "instances": [{"id": 1}], "width": 1, "stacks": {"0": [1]'
+        assert _scene_from_text(text) is None
+        path = tmp_path / "scene.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_scene(path)
+        assert err.value.path == "$"
+
+    @pytest.mark.parametrize("instances", ["[]", '[{"id": 4294967296}]'])
+    def test_ids_with_no_listed_id_to_hold_them_are_a_schema_error(self, tmp_path, instances):
+        text = f'{{"height": 1, "instances": {instances}, "stacks": {{"0": [1]}}, "width": 1}}'
+        assert _scene_from_text(text) is None
+        path = tmp_path / "scene.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_scene(path)
+        assert err.value.path == '$.stacks["0"][0]' and "id 1 missing from the instance list" in str(err.value)
+
 
 class TestAnnotationsJson:
     def test_round_trip(self, s0):
@@ -794,6 +813,14 @@ class TestAnnotationsJson:
         doc["annotations"][0]["score"] = 1.5
         with pytest.raises(SchemaError):
             annotations_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["score", "occlusion_rate"])
+    def test_number_that_is_not_a_number_is_a_schema_error(self, s0, field):
+        doc = annotations_to_dict(3, 3, scene_annotations(s0))
+        doc["annotations"][0][field] = "high"
+        with pytest.raises(SchemaError, match="expected a number, got 'high'") as err:
+            annotations_from_dict(doc)
+        assert err.value.path == f"$.annotations[0].{field}"
 
     @pytest.mark.parametrize("field", ["score", "occlusion_rate"])
     def test_number_past_float_range_is_a_schema_error(self, s0, field):
@@ -935,6 +962,12 @@ class TestNetpbm:
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
         with pytest.raises(ImageFormatError):
+            read_pgm(path)
+
+    def test_read_rejects_a_max_value_other_than_255(self, tmp_path):
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        with pytest.raises(ImageFormatError, match="unsupported max value 65535"):
             read_pgm(path)
 
     @pytest.mark.parametrize("reader, magic", [(read_pgm, b"P5"), (read_ppm, b"P6")])
@@ -1164,6 +1197,76 @@ class TestCocoaImport:
         assert len(long_reason) < 200 and "FRONT-BEHIND" in long_reason
         assert "'" + "9" * 32 + "'" in long_reason and "5002 characters" in long_reason
         assert short_reason == "depth pair '3-x' is not FRONT-BEHIND"
+
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda doc: [doc], "$", "expected an object, got list"),
+            (lambda doc: doc["images"].__setitem__(0, 10), "$.images[0]", "expected an object"),
+            (lambda doc: doc["annotations"].__setitem__(0, "x"), "$.annotations[0]",
+             "expected an object"),
+            (lambda doc: doc["annotations"][0]["regions"].__setitem__(0, None),
+             "$.annotations[0].regions[0]", "expected an object"),
+            (lambda doc: doc["images"][0].update(id="10"), "$.images[0].id",
+             "missing or not an integer"),
+            (lambda doc: doc["images"][0].update(width=6.0), "$.images[0].width",
+             "missing or not an integer"),
+            (lambda doc: doc["images"][0].update(height=True), "$.images[0].height",
+             "missing or not an integer"),
+            (lambda doc: doc["annotations"][0].update(image_id="10"),
+             "$.annotations[0].image_id", "missing or not an integer"),
+            (lambda doc: doc["images"][1].update(id=10), "$.images[1].id",
+             "duplicate image id 10"),
+            (lambda doc: doc["images"][0].update(file_name=7), "$.images[0].file_name",
+             "expected a string"),
+            (lambda doc: doc["annotations"][0]["regions"][0].update(name=["table"]),
+             "$.annotations[0].regions[0].name", "expected a string"),
+            (lambda doc: doc["images"][1].update(height=0), "$.images[1]",
+             "image dimensions must be positive"),
+            (lambda doc: doc.update(annotations={}), "$.annotations", "expected an array"),
+            (lambda doc: doc["annotations"][0].update(regions={}),
+             "$.annotations[0].regions", "missing or not an array"),
+            (lambda doc: doc["annotations"][0].update(depth_constraint=[1, 2]),
+             "$.annotations[0].depth_constraint", "expected a string, got list"),
+            (lambda doc: doc["annotations"][0]["regions"][0].update(segmentation="0 0 6 6"),
+             "$.annotations[0].regions[0].segmentation",
+             "expected a polygon array or RLE object, got str"),
+        ],
+        ids=[
+            "root", "image", "annotation", "region", "image_id_field", "width", "height",
+            "annotation_image_id", "duplicate_image_id", "file_name", "name", "image_size",
+            "annotations", "regions", "depth_constraint", "segmentation",
+        ],
+    )
+    def test_malformed_document_fails_at_its_path(self, edit, path, message):
+        doc = self._document()
+        doc = edit(doc) or doc
+        with pytest.raises(CocoaImportError) as err:
+            import_cocoa(doc)
+        assert err.value.path == path
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "region, reason",
+        [
+            ({"name": "ghost"}, "region has no segmentation"),
+            ({"segmentation": [10, 10, 14, 10, 14, 14, 10, 14]}, "empty amodal mask"),
+        ],
+    )
+    def test_region_without_pixels_is_skipped_with_warning(self, region, reason):
+        doc = self._document()
+        doc["annotations"][0]["regions"].insert(0, region)
+        result = import_cocoa(doc)
+        where = "$.annotations[0].regions[0]" + (".segmentation" if "segmentation" in region else "")
+        assert result.warnings == ((where, reason),)
+        assert [ann.id for ann in result.images[0].annotations] == [2, 3]
+
+    def test_empty_depth_tokens_are_skipped_quietly(self):
+        doc = self._document()
+        doc["annotations"][0]["depth_constraint"] = " ,1-2,, 2-1 ,"
+        result = import_cocoa(doc)
+        assert result.warnings == ()
+        assert result.images[0].order_pairs == ((1, 2), (2, 1))
 
     def test_multi_ring_polygon_even_odd(self):
         doc = self._document()
