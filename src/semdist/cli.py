@@ -67,7 +67,7 @@ def _positive_int(text: str) -> int:
 
 
 def _object_range(text: str) -> tuple[int, int]:
-    matched = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    matched = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
     if matched is None:
         raise argparse.ArgumentTypeError(f'expected "MIN..MAX", got {text!r}')
     lo, hi = int(matched.group(1)), int(matched.group(2))

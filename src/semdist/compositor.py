@@ -68,6 +68,8 @@ class GenConfig:
     max_levels: int = 8
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # PCG64 takes any other int, 2**64 and above included
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.width < 2 or self.height < 2:
             raise ValueError(f"scene must be at least 2x2, got {self.width}x{self.height}")
         lo, hi = self.object_count_range
@@ -99,6 +101,8 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # PCG64 takes any other int, 2**64 and above included
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.erode_radius < 0 or self.dilate_radius < 0:
             raise ValueError("morphology radii must be non-negative")
         for name in ("drop_occluded_prob", "level_flip_prob"):

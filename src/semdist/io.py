@@ -19,15 +19,17 @@ read_scene reads a sparse stacks block in one numpy pass over its bytes
 (_sparse_block) and parses only the rest of the text with json.loads. Any
 text that pass does not take (the dense form, a backslash, "stacks" other
 than exactly once, a repeated key, a number with a leading zero or over 10
-digits, or any failed check) goes to scene_from_dict(json.loads(text)), so
-the result, or the error and its path, is the same either way.
+digits, or any failed check) goes to scene_from_dict(json.loads(text)),
+whose one walk over the cells (_stack_cells) raises at the first defect:
+the numpy passes never raise, so the result, or the error and its path, is
+the same either way.
 
-Both scene readers check the stacks as per-pixel cells and hand them to the
-scene as they are (LayerStackScene._from_cells); both writers take the cells
-from the scene's entries (types._scene_cells), and neither side builds the
-dense stacks. types owns how scenes and map crops sit in memory: the SDM
-reader hands SemDistMap a read-only view of the bytes, which copies only the
-crop, and the writer pastes the crop into a fresh frame (types._paste).
+Both scene readers hand the stacks to the scene as per-pixel cells
+(LayerStackScene._from_cells); both writers take the cells from the scene's
+entries (types._scene_cells), and neither side builds the dense stacks.
+types owns how scenes and map crops sit in memory: the SDM reader hands
+SemDistMap a read-only view of the bytes, which copies only the crop, and
+the writer pastes the crop into a fresh frame (types._paste).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import getitem
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -51,7 +53,7 @@ from .types import (
     SemDistError,
     SemDistMap,
 )
-from .types import _INT32_MAX, _INTP_MAX, _paste, _ranks, _scene_cells
+from .types import _INT32_MAX, _INTP_MAX, _paste, _ranks, _scene_cells, _stacks_fit
 
 __all__ = [
     "SDM_MAGIC",
@@ -232,8 +234,8 @@ def _get_required(obj: dict, key: str, path: str):
 # scene JSON
 
 
-_SPARSE_KEY = "0|[1-9][0-9]*"
-_SPARSE_KEYS = re.compile(f"(?:{_SPARSE_KEY})(?:,(?:{_SPARSE_KEY}))*")
+_SPARSE_KEY = re.compile("0|[1-9][0-9]*")
+_INT = frozenset((int,))
 
 
 def _stack_form(stacks: str) -> bool:
@@ -334,57 +336,57 @@ def _parse_stack_cell(raw, path: str, known: set[int]) -> list[int]:
     return cell
 
 
-def _raise_stack_defect(raw_stacks: Union[dict, list], width: int, height: int, known: set[int]) -> None:
-    """Walk the stack cells in document order and raise the first defect.
-    Runs only after the bulk checks have found one, to name its JSON path."""
-    if isinstance(raw_stacks, list):
-        for index, raw_cell in enumerate(raw_stacks):
-            _parse_stack_cell(raw_cell, f"$.stacks[{index}]", known)
+def _stack_cells(
+    raw_stacks, width: int, height: int, records: tuple[InstanceRecord, ...]
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """(pixel indices, cell lengths, flat ids) of a scene document's raw
+    "stacks" value, the pixel indices None for dense stacks, from one walk
+    over the cells in document order that raises SchemaError at the first
+    defect. A cell of distinct listed ids within int32 is taken whole; any
+    other goes to _parse_stack_cell, which names its first bad entry. Stacks
+    too big for any array are an error at "$", found on Python ints."""
+    area = width * height
+    dense = isinstance(raw_stacks, list)
+    if dense:
+        if len(raw_stacks) != area:
+            raise SchemaError(
+                "$.stacks", f"dense stacks need {area} entries, got {len(raw_stacks)}"
+            )
+        cells, path = enumerate(raw_stacks), "$.stacks[{}]"
+    elif isinstance(raw_stacks, dict):
+        cells, path = raw_stacks.items(), '$.stacks["{}"]'
     else:
-        for key, raw_cell in raw_stacks.items():
-            key_path = f'$.stacks["{key}"]'
-            if not isinstance(key, str) or not re.fullmatch(_SPARSE_KEY, key):
-                raise SchemaError(key_path, "sparse keys must be decimal pixel indices")
+        raise SchemaError("$.stacks", "expected an array (dense) or object (sparse)")
+    known = {record.id for record in records}
+    held = {instance_id for instance_id in known if instance_id <= _INT32_MAX}
+    pixels, lengths, ids = [], [], []
+    for key, cell in cells:
+        if not dense:
+            if not (isinstance(key, str) and _SPARSE_KEY.fullmatch(key)):
+                raise SchemaError(path.format(key), "sparse keys must be decimal pixel indices")
             try:
                 index = int(key)
             except ValueError:  # more digits than int() parses: beyond any grid
-                index = width * height
-            if index >= width * height:
-                raise SchemaError(key_path, f"pixel index {key} outside a {width}x{height} grid")
-            if not _parse_stack_cell(raw_cell, key_path, known):
-                raise SchemaError(key_path, "sparse stack cells must not be empty")
-    raise AssertionError("the bulk stack check rejected stacks the walk accepts")
-
-
-def _stack_arrays(
-    keys: Optional[list], cells: list
-) -> Optional[tuple[Optional[np.ndarray], np.ndarray, np.ndarray]]:
-    """(pixel indices, cell lengths, flat ids) of stacks parsed from JSON,
-    or None when a cell is not a list of ints or a key is not a decimal
-    string. keys is None for dense stacks, and so are their pixel indices."""
-    if not all(map(isinstance, cells, repeat(list))):
-        return None
-    flat = list(chain.from_iterable(cells))
-    if not all(map(isinstance, flat, repeat(int))) or any(map(isinstance, flat, repeat(bool))):
-        return None
-    try:
-        ids = np.array(flat, dtype=np.int64)
-    except OverflowError:  # past int64, so past the int32 stack range too
-        return None
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    if keys is None:
-        return None, lengths, ids
-    try:
-        joined = ",".join(keys)  # TypeError on a key that is not a str
-        indices = list(map(int, keys))  # no key that int() takes holds a comma
-    except (TypeError, ValueError):
-        return None
-    if keys and not _SPARSE_KEYS.fullmatch(joined):
-        return None
-    # an index past intp fits only a grid no array can hold: object keeps it
-    # exact for the range check, and the allocation then fails
-    big = max(indices, default=0) > _INTP_MAX
-    return np.array(indices, dtype=object if big else np.intp), lengths, ids
+                index = area
+            if index >= area:
+                message = f"pixel index {key} outside a {width}x{height} grid"
+                raise SchemaError(path.format(key), message)
+            pixels.append(index)
+        # exact ints only, as a bool or float may equal a listed id
+        if type(cell) is not list or cell and not (
+            held.issuperset(cell) and _INT.issuperset(map(type, cell)) and len(set(cell)) == len(cell)
+        ):
+            cell = _parse_stack_cell(cell, path.format(key), known)
+        if not (cell or dense):
+            raise SchemaError(path.format(key), "sparse stack cells must not be empty")
+        lengths.append(len(cell))
+        ids.extend(cell)
+    depth = max(lengths, default=0)
+    if not _stacks_fit(depth, area):
+        message = "the stacks are larger than the maximum possible array size"
+        raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {message}")
+    pixels = None if dense else np.array(pixels, dtype=np.intp)
+    return pixels, np.array(lengths, dtype=np.intp), np.array(ids, dtype=np.int64)
 
 
 def _scene_head(doc) -> tuple[int, int, tuple[InstanceRecord, ...], object]:
@@ -408,9 +410,10 @@ def _stacked_scene(
 ) -> Optional[LayerStackScene]:
     """The scene whose stacks hold the flat ids cell by cell, front to back,
     at the cells' pixel indices (None for dense stacks: a cell per pixel),
-    or None when the arrays fail a check of _raise_stack_defect: an id not
-    listed or outside 1..int32 max, an id twice in one cell or, for sparse
-    stacks, an empty cell or an index outside the grid."""
+    or None when the arrays fail a check of _stack_cells: an id not listed
+    or outside 1..int32 max, an id twice in one cell, stacks too big for any
+    array or, for sparse stacks, an empty cell or an index outside the grid.
+    Never raises: the text reader then leaves the text to scene_from_dict."""
     # listed ids are positive, so an id equal to its nearest listed id is in range
     listed = np.array(sorted(r.id for r in records if r.id <= _INT32_MAX), dtype=np.int64)
     if ids.size and not listed.size:
@@ -421,33 +424,15 @@ def _stacked_scene(
     if pixels is not None and pixels.size:
         if not lengths.all() or int(pixels.max()) >= width * height:
             return None
-    try:
-        # None for an id twice in one cell
-        return LayerStackScene._from_cells(width, height, records, pixels, lengths, listed, which)
-    except ValueError as exc:
-        depth = int(lengths.max(initial=0))
-        raise SchemaError("$", f"cannot hold {depth}x{height}x{width} stacks: {exc}") from exc
+    # None for an id twice in one cell, or stacks too big to hold
+    return LayerStackScene._from_cells(width, height, records, pixels, lengths, listed, which)
 
 
 def scene_from_dict(doc) -> LayerStackScene:
     """Parse and validate a scene document; raises SchemaError on any defect."""
     width, height, records, raw_stacks = _scene_head(doc)
-    if isinstance(raw_stacks, list):
-        if len(raw_stacks) != width * height:
-            raise SchemaError(
-                "$.stacks",
-                f"dense stacks need {width * height} entries, got {len(raw_stacks)}",
-            )
-        keys, cells = None, raw_stacks
-    elif isinstance(raw_stacks, dict):
-        keys, cells = list(raw_stacks), list(raw_stacks.values())
-    else:
-        raise SchemaError("$.stacks", "expected an array (dense) or object (sparse)")
-    parsed = _stack_arrays(keys, cells)
-    scene = None if parsed is None else _stacked_scene(width, height, records, *parsed)
-    if scene is None:
-        _raise_stack_defect(raw_stacks, width, height, {record.id for record in records})
-    return scene
+    # never None: the walk has raised at every defect _stacked_scene checks
+    return _stacked_scene(width, height, records, *_stack_cells(raw_stacks, width, height, records))
 
 
 # Between two digit runs, a sparse stacks block without its whitespace holds
@@ -914,7 +899,7 @@ def _parse_depth_constraint(raw, path: str, warnings: _Warnings) -> tuple[tuple[
         token = token.strip()
         if not token:
             continue
-        matched = re.fullmatch(r"(\d+)-(\d+)", token)
+        matched = re.fullmatch(r"([0-9]+)-([0-9]+)", token)
         try:
             pairs.append((int(matched.group(1)), int(matched.group(2))))
         except (AttributeError, ValueError):  # no match, or more digits than int() parses

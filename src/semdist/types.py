@@ -297,6 +297,12 @@ def _entry_runs(
     return _run_table(ids[heads], slots[heads], bounds[1:] - heads)
 
 
+def _stacks_fit(depth: int, area: int) -> bool:
+    """Whether numpy can shape int32 stacks of this depth on a frame of this
+    area, on Python ints: it refuses too big a shape even with no planes."""
+    return max(depth, 1) * area * 4 <= _INTP_MAX  # 4 bytes per int32 slot
+
+
 def _run_boxes(
     width: int, height: int, id_runs: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> list[_Box]:
@@ -481,11 +487,11 @@ class LayerStackScene:
     ) -> Optional["LayerStackScene"]:
         """The scene whose stacks hold the flat ids names[which] cell by
         cell, front to back, at the cells' pixel indices (None: a cell per
-        pixel, in order), or None where a cell holds an id twice. names are
-        distinct ascending ids that fit int32, and the cells must fit the
-        frame at distinct pixels. Raises ValueError where the stacks are
-        too big for numpy to shape, as it refuses such an array even with
-        no planes.
+        pixel, in order), or None where a cell holds an id twice or the
+        stacks are too big for any array (_stacks_fit). names are distinct
+        ascending ids that fit int32, and the cells must fit the frame at
+        distinct pixels. It never raises: the text reader takes None as a
+        cue for scene_from_dict, whose walk over the cells names the defect.
 
         One stable sort by id puts each id's entries in cell order, so an
         id twice in a cell sits next to its twin, and the entries go to
@@ -500,8 +506,8 @@ class LayerStackScene:
         if ((which[1:] == which[:-1]) & (pixel[1:] == pixel[:-1])).any():
             return None
         area = height * width
-        if max(int(lengths.max(initial=0)), 1) * area * 4 > _INTP_MAX:  # 4 bytes per int32 slot
-            raise ValueError("the stacks are larger than the maximum possible array size")
+        if not _stacks_fit(int(lengths.max(initial=0)), area):
+            return None
         slots = _ranks(lengths)[order] * area + pixel
         return cls._of_entries(width, height, instances, slots, names[which])
 

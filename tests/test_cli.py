@@ -111,6 +111,45 @@ def test_generate_bad_config_exits_one_without_its_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_negative_seed_exits_one_without_its_directory(tmp_path, capsys):
+    out = tmp_path / "scenes"
+    assert main(["generate", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_generate_takes_a_seed_past_64_bits(tmp_path):
+    out = tmp_path / "scenes"
+    assert main(["generate", "--seed", str(2**64), "--out", str(out)]) == 0
+    assert read_scene(out / "scene_0000.json") == generate(GenConfig(seed=2**64))
+
+
+def test_perturb_negative_seed_exits_one(tmp_path, scene_file, capsys):
+    out = tmp_path / "pred.json"
+    assert main(["perturb", "--gt", str(scene_file), "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["9223372036854775808", "1099511627776"])
+@pytest.mark.parametrize("command", ["render", "eval"])
+def test_stacks_no_array_can_hold_exit_one(tmp_path, capsys, command, key):
+    path = tmp_path / "huge.json"
+    doc = {"width": 2**32, "height": 2**32, "instances": [{"id": 1}], "stacks": {key: [1]}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "huge.ppm"
+    args = {
+        "render": ["render", "--scene", str(path), "--out", str(out)],
+        "eval": ["eval", "--gt", str(path), "--pred", str(path)],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: $: cannot hold 1x4294967296x4294967296 stacks: "
+        "the stacks are larger than the maximum possible array size\n"
+    )
+    assert not out.exists()
+
+
 def test_encode_confidence_lost_at_depth_exits_one_and_writes_nothing(tmp_path, scene_file, capsys):
     # instance 2 of s0 sits at level 1 in row 1, where 1e-8 - 1 rounds to -1.0
     out = tmp_path / "maps"
@@ -455,6 +494,7 @@ def test_usage_errors_exit_two(capsys):
     ("generate", "--count", "0", "expected a positive integer, got 0"),
     ("generate", "--count", "x", "expected an integer, got 'x'"),
     ("generate", "--objects", "3-6", "expected \"MIN..MAX\", got '3-6'"),
+    ("generate", "--objects", "\u0663..\u0666", "expected \"MIN..MAX\", got '\u0663..\u0666'"),
     ("perturb", "--drop-occluded", "x", "expected a number, got 'x'"),
 ])
 def test_bad_argument_values_exit_two(tmp_path, capsys, command, flag, value, message):

@@ -92,6 +92,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenConfig(**kwargs)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            GenConfig(seed=-1)
+        assert GenConfig(seed=2**64).seed == 2**64  # PCG64 takes any other int
+
 
 class TestRender:
     def test_instance_colors_are_stable_and_bright(self):
@@ -214,6 +219,12 @@ class TestPerturb:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             PerturbConfig(**kwargs)
+
+    def test_seed_must_be_non_negative(self, s0):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            PerturbConfig(seed=-1)
+        config = PerturbConfig(score_noise=0.1, seed=2**64)
+        assert perturb(scene_annotations(s0), config) == perturb(scene_annotations(s0), config)
 
 
 class TestPerturbSemdist:

@@ -15,6 +15,7 @@ from semdist import (
     ImageFormatError,
     InstanceRecord,
     LayerStackScene,
+    PerturbConfig,
     RleError,
     RleMask,
     SchemaError,
@@ -24,9 +25,12 @@ from semdist import (
     amodal_mask_of,
     annotations_from_dict,
     annotations_to_dict,
+    assign_maps_to_gt,
     encode_semdist,
+    evaluate,
     generate,
     import_cocoa,
+    perturb,
     rasterize_polygon,
     read_pgm,
     read_annotations,
@@ -43,6 +47,8 @@ from semdist import (
     write_scene,
     write_semdist,
 )
+from semdist import io as semdist_io
+from semdist.cli import main
 from semdist.io import (
     _get_required,
     _load_json,
@@ -103,6 +109,13 @@ class TestRle:
         # counts that sum to the area but do not fit int64; numpy never sees them
         with pytest.raises(RleError, match="more pixels than an array can index"):
             rle_decode(RleMask(10**10, 10**10, (0, 10**20)))
+
+    def test_mask_no_memory_can_hold_raises_rle_error(self):
+        # 2**62 bytes: an allocation that fails at once, with nothing to overcommit
+        with pytest.raises(RleError) as err:
+            rle_decode(RleMask(2**31, 2**31, (0, 2**62)))
+        assert str(err.value) == "a 2147483648x2147483648 mask does not fit in memory"
+        assert isinstance(err.value.__cause__, (MemoryError, ValueError))
 
 
 class TestSceneJson:
@@ -374,6 +387,12 @@ class TestSceneWriterGolden:
             scene_to_dict(s0, "csv")
 
 
+_CANNOT_HOLD = (
+    "cannot hold 1x4294967296x4294967296 stacks: "
+    "the stacks are larger than the maximum possible array size"
+)
+
+
 class TestSceneReaderLimits:
     @pytest.mark.parametrize(
         "form, cell, path",
@@ -414,6 +433,25 @@ class TestSceneReaderLimits:
         with pytest.raises(SchemaError) as err:
             scene_from_dict(doc)
         assert err.value.path == f'$.stacks["{key}"]'
+
+    @pytest.mark.parametrize(
+        "key, path, message",
+        [
+            # past intp, past the text reader's 10 digits, and short enough for it
+            ("9223372036854775808", "$", _CANNOT_HOLD),
+            ("1099511627776", "$", _CANNOT_HOLD),
+            ("1", "$", _CANNOT_HOLD),
+            (str(2**64), f'$.stacks["{2**64}"]', f"pixel index {2**64} outside a 4294967296x4294967296 grid"),
+        ],
+    )
+    def test_stacks_of_a_frame_no_array_can_hold(self, tmp_path, key, path, message):
+        doc = {"width": 2**32, "height": 2**32, "instances": [{"id": 1}], "stacks": {key: [1]}}
+        file = tmp_path / "huge.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for read in (lambda: scene_from_dict(doc), lambda: read_scene(file)):
+            with pytest.raises(SchemaError) as err:
+                read()
+            assert err.value.path == path and str(err.value) == f"{path}: {message}"
 
     def test_key_too_long_to_parse(self, s0):
         doc = scene_to_dict(s0)
@@ -679,6 +717,45 @@ class TestSceneTextReader:
         for style in ("compact", "irregular"):
             assert _scene_from_text(_render(scene_to_dict(scene), style)) == scene
         assert read_scene(path) == scene
+
+    def test_writer_output_never_reaches_the_dict_walk(self, tmp_path, monkeypatch):
+        def walk(*args):
+            pytest.fail("the dict reader's walk read a file that write_scene wrote")
+
+        monkeypatch.setattr(semdist_io, "_stack_cells", walk)
+        for index, scene in enumerate(_SPARSE_TEXT_SCENES):
+            write_scene(scene, tmp_path / f"{index}.json")
+            assert read_scene(tmp_path / f"{index}.json") == scene
+        # the eval-64 benchmark's read recipe over scenes its build recipe wrote
+        scenes = [generate(GenConfig(seed=seed)) for seed in range(4)]
+        preds = [
+            perturb(
+                scene_annotations(scene),
+                PerturbConfig(erode_radius=1, drop_occluded_prob=0.2, score_noise=0.1, seed=seed),
+            )
+            for seed, scene in enumerate(scenes)
+        ]
+        reports = []
+        for read_back in (False, True):
+            gt_images, order_items = [], []
+            for scene, pred in zip(scenes, preds):
+                if read_back:
+                    write_scene(scene, tmp_path / "gt.json")
+                    scene = read_scene(tmp_path / "gt.json")
+                gt = scene_annotations(scene)
+                maps = {ann.id: encode_semdist(scene, ann.id) for ann in pred}
+                order_items.append((scene, assign_maps_to_gt(gt, pred, maps)))
+                gt_images.append(gt)
+            reports.append(evaluate(gt_images, preds, order_items=order_items))
+        assert reports[0] == reports[1]
+        # the CLI pipeline
+        scenes, maps, pred = tmp_path / "scenes", tmp_path / "maps", tmp_path / "pred.json"
+        gt = scenes / "scene_0000.json"
+        assert main(["generate", "--seed", "4", "--count", "2", "--out", str(scenes)]) == 0
+        assert main(["encode", "--scene", str(gt), "--out", str(maps)]) == 0
+        assert main(["perturb", "--gt", str(gt), "--erode", "1", "--out", str(pred)]) == 0
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+        assert main(["eval", "--gt", str(scenes), "--pred", str(scenes)]) == 0
 
     @pytest.mark.parametrize(
         "stacks",
@@ -1179,6 +1256,16 @@ class TestCocoaImport:
         assert path == "$.annotations[1].regions[0].segmentation"
         assert "more pixels than an array can index" in reason
         assert result.images[1].annotations == ()
+
+    @pytest.mark.parametrize("token", ["\u0661-\u0662", "1-\u0662", "\uff11-2"])
+    def test_depth_pair_of_digits_other_than_ascii_is_warned_and_skipped(self, token):
+        doc = self._document()
+        doc["annotations"][0]["depth_constraint"] = f"1-2,{token}"
+        result = import_cocoa(doc)
+        assert result.warnings == (
+            ("$.annotations[0].depth_constraint", f"depth pair {token!r} is not FRONT-BEHIND"),
+        )
+        assert result.images[0].order_pairs == ((1, 2),)
 
     def test_depth_token_past_digit_limit_is_warned_and_skipped(self):
         doc = self._document()

@@ -72,6 +72,11 @@ class TestInstanceRecord:
         assert InstanceRecord(1).category is None
         assert InstanceRecord(1, "disc").category == "disc"
 
+    @pytest.mark.parametrize("category", [7, b"disc", ["disc"]])
+    def test_rejects_a_category_that_is_not_a_string(self, category):
+        with pytest.raises(ValueError, match=r"^category must be a string or None, got "):
+            InstanceRecord(1, category)
+
 
 class TestLayerStackScene:
     def test_s0_stacks(self, s0):
@@ -192,6 +197,11 @@ class TestLayerStackScene:
         assert s0.record_of(2).category == "back"
         with pytest.raises(UnknownInstanceError):
             s0.record_of(9)
+
+
+def test_scene_never_equals_a_non_scene(s0):
+    assert s0.__eq__(3) is NotImplemented
+    assert (s0 == 3) is False and s0 != 3
 
 
 def test_scene_equality_ignores_construction_path(s0):
@@ -340,6 +350,13 @@ class TestLayeringMap:
         with pytest.raises(ValueError):
             LayeringMap(np.full((1, 2, 2), 1.1, dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        values = np.zeros((1, 2, 2), dtype=np.float32)
+        values[0, 1, 0] = value
+        with pytest.raises(ValueError, match=r"^layering values must be finite$"):
+            LayeringMap(values)
+
     def test_channel_access(self):
         values = np.zeros((2, 2, 2), dtype=np.float32)
         values[1] = 1.0
@@ -379,6 +396,13 @@ class TestInstanceAnnotation:
     def test_from_masks_rejects_empty_amodal(self):
         with pytest.raises(ValueError):
             InstanceAnnotation.from_masks(1, BinaryMask.zeros(2, 2), BinaryMask.zeros(2, 2))
+
+    @pytest.mark.parametrize("rate, shown", [(-0.1, "-0.1"), (1.5, "1.5"), (float("nan"), "nan")])
+    def test_occlusion_rate_bounds(self, rate, shown):
+        mask = BinaryMask(np.ones((1, 1), dtype=bool))
+        with pytest.raises(ValueError) as err:
+            InstanceAnnotation(1, mask, mask, occlusion_rate=rate)
+        assert str(err.value) == f"occlusion_rate must lie in [0, 1], got {shown}"
 
     @pytest.mark.parametrize("score", [-0.1, 1.1])
     def test_score_bounds(self, score):
