@@ -235,7 +235,6 @@ def _get_required(obj: dict, key: str, path: str):
 
 
 _SPARSE_KEY = re.compile("0|[1-9][0-9]*")
-_INT = frozenset((int,))
 
 
 def _stack_form(stacks: str) -> bool:
@@ -321,18 +320,21 @@ def _parse_instances(raw, path: str) -> tuple[InstanceRecord, ...]:
 
 
 def _parse_stack_cell(raw, path: str, known: set[int]) -> list[int]:
-    entries = _require_list(raw, path)
     cell = []
-    for pos, value in enumerate(entries):
-        entry_path = f"{path}[{pos}]"
-        instance_id = _require_int(value, entry_path, 1)
-        if instance_id not in known:
-            raise SchemaError(entry_path, f"id {instance_id} missing from the instance list")
-        if instance_id > _INT32_MAX:
-            raise SchemaError(entry_path, f"id {instance_id} exceeds the int32 stack range")
-        if instance_id in cell:
-            raise SchemaError(entry_path, f"id {instance_id} repeated within one pixel stack")
-        cell.append(instance_id)
+    for pos, value in enumerate(_require_list(raw, path)):
+        # the entry's path is built only for an entry that may be a defect;
+        # exact ints first: a bool or float may equal a listed id, and a list
+        # or dict entry cannot be looked up in a set
+        if type(value) is not int or value not in known or value > _INT32_MAX or value in cell:
+            entry_path = f"{path}[{pos}]"
+            instance_id = _require_int(value, entry_path, 1)
+            if instance_id not in known:
+                raise SchemaError(entry_path, f"id {instance_id} missing from the instance list")
+            if instance_id > _INT32_MAX:
+                raise SchemaError(entry_path, f"id {instance_id} exceeds the int32 stack range")
+            if instance_id in cell:
+                raise SchemaError(entry_path, f"id {instance_id} repeated within one pixel stack")
+        cell.append(value)
     return cell
 
 
@@ -342,9 +344,9 @@ def _stack_cells(
     """(pixel indices, cell lengths, flat ids) of a scene document's raw
     "stacks" value, the pixel indices None for dense stacks, from one walk
     over the cells in document order that raises SchemaError at the first
-    defect. A cell of distinct listed ids within int32 is taken whole; any
-    other goes to _parse_stack_cell, which names its first bad entry. Stacks
-    too big for any array are an error at "$", found on Python ints."""
+    defect: _parse_stack_cell checks each cell and names its first bad
+    entry. Stacks too big for any array are an error at "$", found on
+    Python ints."""
     area = width * height
     dense = isinstance(raw_stacks, list)
     if dense:
@@ -358,7 +360,6 @@ def _stack_cells(
     else:
         raise SchemaError("$.stacks", "expected an array (dense) or object (sparse)")
     known = {record.id for record in records}
-    held = {instance_id for instance_id in known if instance_id <= _INT32_MAX}
     pixels, lengths, ids = [], [], []
     for key, cell in cells:
         if not dense:
@@ -372,11 +373,7 @@ def _stack_cells(
                 message = f"pixel index {key} outside a {width}x{height} grid"
                 raise SchemaError(path.format(key), message)
             pixels.append(index)
-        # exact ints only, as a bool or float may equal a listed id
-        if type(cell) is not list or cell and not (
-            held.issuperset(cell) and _INT.issuperset(map(type, cell)) and len(set(cell)) == len(cell)
-        ):
-            cell = _parse_stack_cell(cell, path.format(key), known)
+        cell = _parse_stack_cell(cell, path.format(key), known)
         if not (cell or dense):
             raise SchemaError(path.format(key), "sparse stack cells must not be empty")
         lengths.append(len(cell))

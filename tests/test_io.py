@@ -409,6 +409,20 @@ class TestSceneReaderLimits:
             scene_from_dict(doc)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("form, cell, path", [("sparse", "0", '$.stacks["0"]'), ("dense", 0, "$.stacks[0]")])
+    @pytest.mark.parametrize("entry", [[1], {}, {"1": 1}, [[1]]])
+    def test_stack_entry_that_is_a_container(self, s0, tmp_path, form, cell, path, entry):
+        # an unhashable entry is a schema error, not a TypeError, on both paths
+        doc = scene_to_dict(s0, form)
+        doc["stacks"][cell] = [entry]
+        file = tmp_path / "nested.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for read in (lambda: scene_from_dict(doc), lambda: read_scene(file)):
+            with pytest.raises(SchemaError) as err:
+                read()
+            assert err.value.path == f"{path}[0]"
+            assert "expected an integer" in str(err.value)
+
     def test_id_beyond_int32_outside_the_stacks_still_reads(self, s0):
         doc = scene_to_dict(s0)
         doc["instances"].append({"id": 2**40, "category": None})
