@@ -291,21 +291,16 @@ _Pair = tuple[_Box, np.ndarray, np.ndarray, np.ndarray]
 
 def _pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
     """The pair step, after checking that the maps share a frame and that c
-    is valid: see _checked_pair."""
-    map_a.require_same_shape(map_b)
-    _check_threshold(c)
-    return _checked_pair(map_a, map_b, c)
-
-
-def _checked_pair(map_a: SemDistMap, map_b: SemDistMap, c: float) -> Optional[_Pair]:
-    """The pair step on maps of one frame and a valid c: the intersection
-    of the two support boxes, the values of a and of b on it, and their
-    joint overlap there, frac_a * frac_b > c^2 with a float32 product and a
-    float64 threshold. None when the boxes are disjoint.
+    is valid: the intersection of the two support boxes, the values of a
+    and of b on it, and their joint overlap there, frac_a * frac_b > c^2
+    with a float32 product and a float64 threshold. None when the boxes are
+    disjoint.
 
     Outside its box a map holds only +0.0, whose fractional part is 0, so no
     pixel of a pair's overlap lies outside the intersection.
     """
+    map_a.require_same_shape(map_b)
+    _check_threshold(c)
     box_a, box_b = map_a._support_box, map_b._support_box
     if box_a is None or box_b is None:
         return None
@@ -504,10 +499,10 @@ def _gt_order(
     if cached is not None and cached[0] == key:
         return cached[1]
     gt = encode_scene(scene, gt_confidence)
-    _check_threshold(c)  # once: the maps of one encode_scene share the scene's frame
+    _check_threshold(c)  # before any pair: a scene with no pair raises here too
     order = []
     for id_a, id_b in combinations(sorted(gt), 2):
-        pair = _checked_pair(gt[id_a], gt[id_b], c)
+        pair = _pair(gt[id_a], gt[id_b], c)
         # a gt value is confidence minus level, so it is 0 exactly outside the amodal mask
         if pair is not None and ((pair[1] != 0.0) & (pair[2] != 0.0)).any():
             order.append((id_a, id_b, _pair_verdict(pair)))

@@ -397,39 +397,12 @@ def _scene_head(doc) -> tuple[int, int, tuple[InstanceRecord, ...], object]:
     return width, height, records, _get_required(root, "stacks", "$")
 
 
-def _stacked_scene(
-    width: int,
-    height: int,
-    records: tuple[InstanceRecord, ...],
-    pixels: Optional[np.ndarray],
-    lengths: np.ndarray,
-    ids: np.ndarray,
-) -> Optional[LayerStackScene]:
-    """The scene whose stacks hold the flat ids cell by cell, front to back,
-    at the cells' pixel indices (None for dense stacks: a cell per pixel),
-    or None when the arrays fail a check of _stack_cells: an id not listed
-    or outside 1..int32 max, an id twice in one cell, stacks too big for any
-    array or, for sparse stacks, an empty cell or an index outside the grid.
-    Never raises: the text reader then leaves the text to scene_from_dict."""
-    # listed ids are positive, so an id equal to its nearest listed id is in range
-    listed = np.array(sorted(r.id for r in records if r.id <= _INT32_MAX), dtype=np.int64)
-    if ids.size and not listed.size:
-        return None
-    which = listed.searchsorted(ids)
-    if (listed.take(which, mode="clip") != ids).any():
-        return None
-    if pixels is not None and pixels.size:
-        if not lengths.all() or int(pixels.max()) >= width * height:
-            return None
-    # None for an id twice in one cell, or stacks too big to hold
-    return LayerStackScene._from_cells(width, height, records, pixels, lengths, listed, which)
-
-
 def scene_from_dict(doc) -> LayerStackScene:
     """Parse and validate a scene document; raises SchemaError on any defect."""
     width, height, records, raw_stacks = _scene_head(doc)
-    # never None: the walk has raised at every defect _stacked_scene checks
-    return _stacked_scene(width, height, records, *_stack_cells(raw_stacks, width, height, records))
+    # never None: the walk has raised at every defect _from_cells checks
+    cells = _stack_cells(raw_stacks, width, height, records)
+    return LayerStackScene._from_cells(width, height, records, *cells)
 
 
 # Between two digit runs, a sparse stacks block without its whitespace holds
@@ -519,7 +492,7 @@ def _scene_from_text(text: str) -> Optional[LayerStackScene]:
         width, height, records, _ = _scene_head(
             json.loads(text[:opening] + "{}" + text[closing + 1 :])
         )
-        return _stacked_scene(width, height, records, *parsed)
+        return LayerStackScene._from_cells(width, height, records, *parsed)
     except (ValueError, RecursionError, SemDistError):
         return None
 

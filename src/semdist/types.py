@@ -482,22 +482,33 @@ class LayerStackScene:
         instances: Sequence[InstanceRecord],
         pixels: Optional[np.ndarray],
         lengths: np.ndarray,
-        names: np.ndarray,
-        which: np.ndarray,
+        ids: np.ndarray,
     ) -> Optional["LayerStackScene"]:
-        """The scene whose stacks hold the flat ids names[which] cell by
-        cell, front to back, at the cells' pixel indices (None: a cell per
-        pixel, in order), or None where a cell holds an id twice or the
-        stacks are too big for any array (_stacks_fit). names are distinct
-        ascending ids that fit int32, and the cells must fit the frame at
-        distinct pixels. It never raises: the text reader takes None as a
-        cue for scene_from_dict, whose walk over the cells names the defect.
+        """The scene whose stacks hold the flat int64 ids cell by cell,
+        front to back, at the cells' pixel indices (None: a cell per pixel,
+        in order), as both scene readers parse them, or None where the cells
+        make no scene: an id not listed or past int32, an id twice in one
+        cell, stacks too big for any array (_stacks_fit) or, for sparse
+        cells, an empty cell or a pixel outside the frame. The pixels must
+        be distinct and non-negative, as the keys of a parsed JSON object
+        are. This is the one check of reader cells, and it never raises: the
+        text reader takes None as a cue for scene_from_dict, whose walk over
+        the cells exists to name the defect.
 
         One stable sort by id puts each id's entries in cell order, so an
         id twice in a cell sits next to its twin, and the entries go to
         _of_entries in that order: each id's fall into pieces of consecutive
         slots, few where the cells come in pixel order, as they do from the
         writers up to the string order of keys of different lengths."""
+        area = height * width
+        if pixels is not None and pixels.size:
+            if not lengths.all() or int(pixels.max()) >= area:
+                return None
+        # listed ids are positive, so an id equal to its nearest listed id is in range
+        names = np.array(sorted(r.id for r in instances if r.id <= _INT32_MAX), dtype=np.int64)
+        which = names.searchsorted(ids)
+        if ids.size and not names.size or (names.take(which, mode="clip") != ids).any():
+            return None
         cells = np.arange(lengths.size) if pixels is None else pixels.astype(np.intp, copy=False)
         pixel = cells.repeat(lengths)
         # a stable sort of keys of 16 bits or less is a radix sort
@@ -505,7 +516,6 @@ class LayerStackScene:
         which, pixel = which[order], pixel[order]
         if ((which[1:] == which[:-1]) & (pixel[1:] == pixel[:-1])).any():
             return None
-        area = height * width
         if not _stacks_fit(int(lengths.max(initial=0)), area):
             return None
         slots = _ranks(lengths)[order] * area + pixel
