@@ -178,6 +178,16 @@ def _read_gt_document(path: Path):
     raise SchemaError("$", "expected a scene or annotation document")
 
 
+def _read_named_document(path: Path, named: bool):
+    """_read_gt_document, whose data error names the file when named is true."""
+    try:
+        return _read_gt_document(path)
+    except (SemDistError, OSError, ValueError) as exc:
+        if not named:
+            raise
+        raise SemDistError(f"{path}: {exc}") from exc
+
+
 def _cmd_perturb(args: argparse.Namespace) -> int:
     width, height, annotations, _ = _read_gt_document(Path(args.gt))
     config = PerturbConfig(
@@ -213,13 +223,14 @@ def _pair_inputs(gt: Path, pred: Path) -> list[tuple[str, Path, Path]]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     pairs = _pair_inputs(Path(args.gt), Path(args.pred))
+    named = Path(args.gt).is_dir()  # over directories, a data error names its file
     names = []
     gt_images = []
     pred_images = []
     order_items = []
     for name, gt_file, pred_file in pairs:
-        _, _, gt_anns, gt_scene = _read_gt_document(gt_file)
-        _, _, pred_anns, pred_scene = _read_gt_document(pred_file)
+        _, _, gt_anns, gt_scene = _read_named_document(gt_file, named)
+        _, _, pred_anns, pred_scene = _read_named_document(pred_file, named)
         names.append(name)
         gt_images.append(gt_anns)
         pred_images.append(pred_anns)

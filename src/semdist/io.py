@@ -24,9 +24,11 @@ whose one walk over the cells (_stack_cells) raises at the first defect:
 the numpy passes never raise, so the result, or the error and its path, is
 the same either way.
 
-Both scene readers hand the stacks to the scene as per-pixel cells
-(LayerStackScene._from_cells); both writers take the cells from the scene's
-entries (types._scene_cells), and neither side builds the dense stacks.
+Both scene readers hand the stacks to the scene as raw per-pixel cells
+(LayerStackScene._from_cells), which is the one check of reader cells and
+returns None for any defect; the dict walk exists to name the defect. Both
+writers take the cells from the scene's entries (types._scene_cells), and
+neither side builds the dense stacks.
 types owns how scenes and map crops sit in memory: the SDM reader hands
 SemDistMap a read-only view of the bytes, which copies only the crop, and
 the writer pastes the crop into a fresh frame (types._paste).

@@ -289,7 +289,10 @@ def average_recall(
 
 
 def _strata_ar(images: Sequence[_Image], k: int, heavy_cut: float):
-    """AR@k of the occlusion strata none, partial and heavy; None for an empty one."""
+    """AR@k of the occlusion strata none, partial and heavy; None for an empty one.
+    A cut that is not finite puts no occluded gt in a stratum, so it raises."""
+    if not -np.inf < heavy_cut < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"heavy_cut must be finite, got {heavy_cut}")
     out = []
     for keep in (
         lambda ann: ann.occlusion_rate == 0.0,

@@ -43,8 +43,8 @@ to sort and join.
 
 Cells are the occupied (or all) row-major pixel indices, their stack
 lengths and all their ids front to back in one flat array: the scene
-readers hand cells to LayerStackScene._from_cells, and the writers take them
-from _scene_cells.
+readers hand their raw cells to LayerStackScene._from_cells, the one check
+of which cells make a scene, and the writers take them from _scene_cells.
 Every crop on a support box becomes a full frame through _paste.
 """
 

@@ -275,6 +275,28 @@ def test_json_that_is_neither_scene_nor_annotations_exits_one(tmp_path, capsys, 
     assert not (tmp_path / "pred.json").exists()
 
 
+def test_eval_over_directories_names_the_file_of_a_data_error(tmp_path, capsys):
+    gt = tmp_path / "gt"
+    assert main(["generate", "--seed", "4", "--count", "2", "--out", str(gt)]) == 0
+    # a report written into the gt directory is read as input by the next eval
+    report = gt / "report.json"
+    assert main(["eval", "--gt", str(gt), "--pred", str(gt), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(gt), "--pred", str(gt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {report}: $: expected a scene or annotation document\n"
+    # a bad prediction file is named too
+    report.unlink()
+    pred = tmp_path / "pred"
+    assert main(["generate", "--seed", "4", "--count", "2", "--out", str(pred)]) == 0
+    bad = pred / "scene_0001.json"
+    bad.write_text('{"width": 0, "height": 1, "instances": [], "stacks": {}}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: $.width: expected an integer >= 1, got 0\n"
+
+
 def test_eval_empty_directory_exits_one(tmp_path, capsys):
     gt, pred = tmp_path / "gt", tmp_path / "pred"
     gt.mkdir()

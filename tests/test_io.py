@@ -836,6 +836,50 @@ class TestSceneTextReader:
         assert err.value.path == '$.stacks["0"][0]' and "id 1 missing from the instance list" in str(err.value)
 
 
+def _raw_cells(stacks):
+    """(pixels, lengths, ids) of a scene document's "stacks" value, as both
+    scene readers parse them: pixels None for dense stacks, ids int64."""
+    dense = isinstance(stacks, list)
+    cells = stacks if dense else list(stacks.values())
+    pixels = None if dense else np.array([int(key) for key in stacks], dtype=np.intp)
+    lengths = np.array([len(cell) for cell in cells], dtype=np.intp)
+    return pixels, lengths, np.array([i for cell in cells for i in cell], dtype=np.int64)
+
+
+class TestSceneFromCells:
+    """LayerStackScene._from_cells is the one check of reader cells: it
+    takes them raw, returns None for every defect, and never raises."""
+
+    _LISTED = (InstanceRecord(1), InstanceRecord(2))
+
+    @pytest.mark.parametrize(
+        "records, size, stacks",
+        [
+            (_LISTED, 2, {"0": [1], "1": [9]}),  # an id not listed
+            (_LISTED + (InstanceRecord(2**31),), 2, {"0": [1], "1": [2**31]}),  # past int32
+            ((), 2, {"0": [1]}),  # no listed id
+            ((InstanceRecord(2**32),), 2, {"0": [1]}),  # no listed id within int32
+            (_LISTED, 2, {"0": [1, 2, 1]}),  # an id twice in one cell
+            (_LISTED, 2, [[1], [2, 2], [], []]),
+            (_LISTED, 2, {"0": [1], "1": []}),  # an empty sparse cell
+            (_LISTED, 2, {"0": [1], "4": [2]}),  # a pixel past the frame
+            (_LISTED, 2**32, {"0": [1]}),  # stacks no array can hold
+            (_LISTED, 2**32, {}),
+        ],
+    )
+    def test_a_defect_returns_none(self, records, size, stacks):
+        assert LayerStackScene._from_cells(size, size, records, *_raw_cells(stacks)) is None
+
+    @pytest.mark.parametrize(
+        "stacks", [{"5": [2], "0": [1], "1": [2, 1]}, [[1], [2, 1], [], [], [], [2]], {}]
+    )
+    def test_valid_cells_make_the_scene_of_their_document(self, stacks):
+        doc = {"width": 3, "height": 2, "instances": [{"id": 1}, {"id": 2}], "stacks": stacks}
+        scene = LayerStackScene._from_cells(3, 2, self._LISTED, *_raw_cells(stacks))
+        assert scene == scene_from_dict(doc)
+        assert scene._boxes == scene_from_dict(doc)._boxes
+
+
 class TestAnnotationsJson:
     def test_round_trip(self, s0):
         annotations = scene_annotations(s0)

@@ -291,6 +291,19 @@ class TestStratifiedAr:
         assert ar_partial is None
         assert ar_heavy is None
 
+    @pytest.mark.parametrize("cut", [float("nan"), float("inf"), float("-inf")])
+    def test_a_cut_that_is_not_finite_raises(self, cut):
+        # NaN would put every occluded gt in no stratum, and the report would
+        # hold a value that JSON cannot
+        gt = [_rate_fixture()]
+        message = rf"^heavy_cut must be finite, got {cut}$"
+        with pytest.raises(ValueError, match=message):
+            stratified_ar(gt, gt, heavy_cut=cut)
+        with pytest.raises(ValueError, match=message):
+            evaluate(gt, gt, heavy_cut=cut)
+        report = evaluate(gt, gt, heavy_cut=2.0)
+        assert report.heavy_cut == 2.0 and report.ar_partial == 1.0 and report.ar_heavy is None
+
 
 class TestOrderAccuracy:
     def _gt_maps(self, scene):
@@ -462,7 +475,7 @@ class TestEvaluate:
                                    match=rf"^{name} must lie in \[0, 1\], got {value}$"):
                     EvalReport(**{**metrics, name: value})
             assert getattr(EvalReport(**{**metrics, name: 1.0}), name) == 1.0
-        # heavy_cut records a setting, which evaluate accepts at any value
+        # heavy_cut records a setting, which evaluate accepts at any finite value
         assert EvalReport(**metrics, heavy_cut=2.0).heavy_cut == 2.0
 
     def test_bad_order_threshold_raises_like_order_accuracy(self, s0):
