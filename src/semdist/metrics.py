@@ -290,7 +290,8 @@ def average_recall(
 
 def _strata_ar(images: Sequence[_Image], k: int, heavy_cut: float):
     """AR@k of the occlusion strata none, partial and heavy; None for an empty one.
-    A cut that is not finite puts no occluded gt in a stratum, so it raises."""
+    A cut that is not finite raises: NaN puts no occluded gt in a stratum,
+    and no JSON report can hold it."""
     if not -np.inf < heavy_cut < np.inf:  # NaN fails both comparisons
         raise ValueError(f"heavy_cut must be finite, got {heavy_cut}")
     out = []

@@ -489,9 +489,9 @@ class LayerStackScene:
         in order), as both scene readers parse them, or None where the cells
         make no scene: an id not listed or past int32, an id twice in one
         cell, stacks too big for any array (_stacks_fit) or, for sparse
-        cells, an empty cell or a pixel outside the frame. The pixels must
-        be distinct and non-negative, as the keys of a parsed JSON object
-        are. This is the one check of reader cells, and it never raises: the
+        cells, an empty cell or a pixel outside the frame. Both readers
+        give distinct non-negative pixels, which it does not check. This is
+        the one check of reader cells, and it never raises: the
         text reader takes None as a cue for scene_from_dict, whose walk over
         the cells exists to name the defect.
 
@@ -507,7 +507,7 @@ class LayerStackScene:
         # listed ids are positive, so an id equal to its nearest listed id is in range
         names = np.array(sorted(r.id for r in instances if r.id <= _INT32_MAX), dtype=np.int64)
         which = names.searchsorted(ids)
-        if ids.size and not names.size or (names.take(which, mode="clip") != ids).any():
+        if (ids.size and not names.size) or (names.take(which, mode="clip") != ids).any():
             return None
         cells = np.arange(lengths.size) if pixels is None else pixels.astype(np.intp, copy=False)
         pixel = cells.repeat(lengths)
