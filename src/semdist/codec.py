@@ -238,9 +238,7 @@ def _semdist_from_levels(
     # confidence + (-level) has the same bits as confidence - level
     np.add(confidence, integer, out=crop, where=present)
     _require_exact(crop, integer, confidence, present, (box[0], box[2]))
-    # every value now lies strictly between -level and 1 - level, or is
-    # +0.0, so the map's own check (finite, below 1) cannot fail
-    return SemDistMap._from_crop(shape, box, crop, check=False)
+    return SemDistMap._from_crop(shape, box, crop)
 
 
 # outside its support box a map holds +0.0, which each decoder maps to its fill
@@ -327,7 +325,7 @@ def overlap_region(
     """Pixels where both amodal confidences jointly clear c: frac_a * frac_b > c^2."""
     pair = _pair(map_a, map_b, c)
     box, omega = (None, None) if pair is None else (pair[0], pair[3])
-    return BinaryMask._fresh(_paste(map_a._shape, box, omega, np.False_))
+    return BinaryMask(_paste(map_a._shape, box, omega, np.False_))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +349,7 @@ def relative_order(
     joint overlap region; 0 outside."""
     pair = _pair(map_a, map_b, c)
     box, votes = (None, None) if pair is None else (pair[0], _votes(*pair[1:]))
-    return RelativeOrderMap._fresh(_paste(map_a._shape, box, votes, np.int32(0)))
+    return RelativeOrderMap(_paste(map_a._shape, box, votes, np.int32(0)))
 
 
 class OrderVerdict(Enum):

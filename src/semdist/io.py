@@ -521,7 +521,7 @@ def read_scene(path: PathLike) -> LayerStackScene:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _read_text(path: PathLike) -> str:

@@ -116,10 +116,17 @@ class ImageDiagnostics:
     matched_at_50: int
 
 
+def _check_heavy_cut(heavy_cut: float) -> None:
+    """A cut that is not finite raises: NaN puts no occluded gt in a stratum,
+    and no JSON report can hold it."""
+    if not -np.inf < heavy_cut < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"heavy_cut must be finite, got {heavy_cut}")
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Scalar evaluation metrics plus per-image diagnostics and the heavy
-    occlusion cut the strata were split at.
+    occlusion cut the strata were split at, which must be finite.
 
     The metric fields are the ones before per_image; each lies in [0, 1] or is
     None. Stratified recall fields are None when the corresponding occlusion
@@ -144,6 +151,7 @@ class EvalReport:
             value = getattr(self, field.name)
             if value is not None and not (0.0 <= value <= 1.0):
                 raise ValueError(f"{field.name} must lie in [0, 1], got {value}")
+        _check_heavy_cut(self.heavy_cut)
         object.__setattr__(self, "per_image", tuple(self.per_image))
 
 
@@ -289,11 +297,8 @@ def average_recall(
 
 
 def _strata_ar(images: Sequence[_Image], k: int, heavy_cut: float):
-    """AR@k of the occlusion strata none, partial and heavy; None for an empty one.
-    A cut that is not finite raises: NaN puts no occluded gt in a stratum,
-    and no JSON report can hold it."""
-    if not -np.inf < heavy_cut < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"heavy_cut must be finite, got {heavy_cut}")
+    """AR@k of the occlusion strata none, partial and heavy; None for an empty one."""
+    _check_heavy_cut(heavy_cut)
     out = []
     for keep in (
         lambda ann: ann.occlusion_rate == 0.0,

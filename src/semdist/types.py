@@ -2,7 +2,10 @@
 
 Everything here is an immutable value: numpy payloads are copied on
 construction and marked read-only, so instances are safe to share across
-threads and to use as fixture data. A map holds its frame shape, support box
+threads and to use as fixture data. Every grid comes in through its
+constructor's checks of shape and values; SemDistMap._from_crop is the one
+entry that takes an array (a map's crop) without copying it, and it checks
+that crop as the constructor does. A map holds its frame shape, support box
 and crop from construction, and a scene holds its occupied stack entries and
 the support box of each listed instance from construction.
 Library functions read only entries and crops: a scene's dense stacks and a
@@ -134,10 +137,12 @@ class _FrozenGrid:
     A subclass names its payload field and declares the dtype, rank and a
     noun for messages; _check adds its own value checks. The payload is
     copied to the dtype, must have the rank and no 0-length axis, and is
-    marked read-only; its shape is kept as _shape. Grids compare equal only
-    to grids of the same type with the same shape and values; float32
-    values compare by bit pattern, so -0.0 and +0.0 differ, as they do in a
-    map's support box and file.
+    marked read-only; its shape is kept as _shape. The constructor is the
+    only way in (SemDistMap adds _from_crop, which checks too), so every
+    grid has passed these checks. Grids compare equal only to grids of the
+    same type with the same shape and values; float32 values compare by bit
+    pattern, so -0.0 and +0.0 differ, as they do in a map's support box and
+    file.
     """
 
     _field: ClassVar[str] = "values"
@@ -165,17 +170,6 @@ class _FrozenGrid:
     @staticmethod
     def _check(grid: np.ndarray) -> None:
         """Raise ValueError on values the type does not allow."""
-
-    @classmethod
-    def _fresh(cls, grid: np.ndarray):
-        """Wrap a grid that no one else holds, of the type's dtype and rank
-        and with no 0-length axis, without copying it; it is checked and made
-        read-only as the constructor would."""
-        cls._check(grid)
-        grid.setflags(write=False)
-        wrapped = object.__new__(cls)
-        wrapped.__dict__.update({cls._field: grid, "_shape": grid.shape})
-        return wrapped
 
     @property
     def width(self) -> int:
@@ -785,7 +779,7 @@ def _instance_masks(scene: LayerStackScene, instance_id: int) -> tuple[BinaryMas
     visible = np.zeros(area, dtype=bool)
     visible[_front_pixels(scene, slots)] = True
     shape = (scene.height, scene.width)
-    return BinaryMask._fresh(amodal.reshape(shape)), BinaryMask._fresh(visible.reshape(shape))
+    return BinaryMask(amodal.reshape(shape)), BinaryMask(visible.reshape(shape))
 
 
 def amodal_mask_of(scene: LayerStackScene, instance_id: int) -> BinaryMask:
@@ -815,12 +809,15 @@ class SemDistMap(_FrozenGrid):
     every value is +0.0) and the read-only crop of its values on that box
     (_crop, None without a box), all set when it is built: SemDistMap(values),
     which the file reader calls, finds the box on the frame and copies and
-    checks only the crop. Library functions (decoding, pair work on the
-    intersection of two boxes, shape checks, equality by shape, box and crop
-    bits, pickling, repr and the file writer) read the crop alone. values is
-    built only when a caller reads it, as +0.0 with the crop pasted in; the
-    first frame stored is the one every later access returns, so threads
-    racing to build it all get one read-only array.
+    checks only the crop, and _from_crop, which the encoders, perturbation
+    and pickles call, keeps a crop without a copy and checks it all the
+    same, so every map has passed the check. Library functions (decoding,
+    pair work on the intersection of two boxes, shape checks, equality by
+    shape, box and crop bits, pickling, repr and the file writer) read the
+    crop alone. values is built only when a caller reads it, as +0.0 with
+    the crop pasted in; the first frame stored is the one every later
+    access returns, so threads racing to build it all get one read-only
+    array.
     """
 
     values: np.ndarray
@@ -841,31 +838,22 @@ class SemDistMap(_FrozenGrid):
         box = _box_of(frame.view(np.uint32) != 0)
         self._hold(frame.shape, box, None if box is None else np.array(frame[_window(box)]))
 
-    _fresh = None  # a map holds a box and crop, which the constructor and _from_crop set
-
     @classmethod
-    def _from_crop(
-        cls, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray],
-        check: bool = True,
-    ) -> "SemDistMap":
+    def _from_crop(cls, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray]):
         """Map on a frame of the given shape holding crop on box and +0.0
-        elsewhere, without copying crop. box must be the support box of that
-        frame (None with crop None: every value is +0.0). check False skips
-        the value check, for a caller that has already proven every value
-        finite and below 1."""
+        elsewhere. box must be the support box of that frame (None with crop
+        None: every value is +0.0). The one entry that takes a crop without
+        copying it, so crop must be a float32 array no one else holds; it
+        is still checked as the constructor checks its crop."""
         semdist = object.__new__(cls)
-        semdist._hold(shape, box, crop, check)
+        semdist._hold(shape, box, crop)
         return semdist
 
-    def _hold(
-        self, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray],
-        check: bool = True,
-    ) -> None:
-        """Keep shape, box and crop; only the crop is checked (unless check
-        is False), then made read-only."""
+    def _hold(self, shape: tuple[int, int], box: Optional[_Box], crop: Optional[np.ndarray]) -> None:
+        """Keep shape, box and crop, the last step of every way a map is
+        built; the crop is checked, then made read-only."""
         if crop is not None:
-            if check:
-                self._check(crop)
+            self._check(crop)
             crop.setflags(write=False)
         self.__dict__.update(_shape=tuple(shape), _support_box=box, _crop=crop)
 

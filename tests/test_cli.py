@@ -30,7 +30,7 @@ from semdist import (
     write_annotations,
     write_scene,
 )
-from semdist.cli import main
+from semdist.cli import main, run
 
 from conftest import build_s0
 
@@ -40,6 +40,20 @@ def scene_file(tmp_path):
     path = tmp_path / "scene.json"
     write_scene(build_s0(), path)
     return path
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["no-such-command"], 2),
+    (["generate", "--seed", "-1", "--out", "neg"], 1),
+], ids=["help", "usage_error", "data_error"])
+def test_run_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["semdist", *argv])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == code
+    assert not (tmp_path / "neg").exists()
 
 
 def test_generate_writes_scenes_and_manifest(tmp_path):

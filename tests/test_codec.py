@@ -150,6 +150,11 @@ class TestConfidencePolicy:
         with pytest.raises(ValueError):
             ConfidencePolicy(grid_values=np.array([[0.5, 1.0]]))
 
+    @pytest.mark.parametrize("shape, rank", [((4,), 1), ((2, 2, 2), 3)])
+    def test_grid_values_must_be_2d(self, shape, rank):
+        with pytest.raises(ValueError, match=rf"^confidence grid must be 2-D, got {rank}-D$"):
+            ConfidencePolicy(grid_values=np.full(shape, 0.5))
+
     def test_modes(self):
         assert ConfidencePolicy(0.7).mode == "constant"
         assert ConfidencePolicy(grid_values=np.full((2, 2), 0.7)).mode == "map"

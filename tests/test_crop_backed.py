@@ -13,6 +13,7 @@ bit. Grids are compared as uint32 or int32 views, so +0.0 and -0.0 differ.
 """
 
 import copy
+import inspect
 import json
 import pickle
 import tempfile
@@ -32,7 +33,9 @@ from semdist import (
     GenConfig,
     InstanceRecord,
     LayerStackScene,
+    LayeringMap,
     PerturbConfig,
+    RelativeOrderMap,
     SemDistMap,
     amodal_mask_of,
     decode_levels,
@@ -43,9 +46,11 @@ from semdist import (
     generate,
     order_accuracy,
     order_regions,
+    overlap_region,
     perturb_semdist,
     read_scene,
     read_semdist,
+    relative_order,
     render,
     scene_annotations,
     scene_from_dict,
@@ -558,10 +563,62 @@ def test_every_constructor_sets_the_box_and_crop(name, tmp_path):
 
 
 def test_maps_offer_no_bare_frame_wrapper():
-    # _fresh wraps a grid alone; a map must also hold its box and crop
-    assert SemDistMap._fresh is None
-    with pytest.raises(TypeError):
-        SemDistMap._fresh(np.zeros((2, 2), F))
+    # every grid comes in through its constructor's checks; none is wrapped bare
+    for grid_type in (BinaryMask, SemDistMap, LayeringMap, RelativeOrderMap):
+        assert not hasattr(grid_type, "_fresh")
+    # _from_crop keeps its crop without a copy, but never without the check
+    assert list(inspect.signature(SemDistMap._from_crop).parameters) == ["shape", "box", "crop"]
+    with pytest.raises(ValueError, match="^map values must be strictly below 1$"):
+        SemDistMap._from_crop((1, 2), (0, 1, 0, 2), np.array([[0.5, 1.0]], F))
+
+
+def assert_owned_and_read_only(grid):
+    assert grid.flags.owndata and not grid.flags.writeable
+
+
+def test_library_masks_and_votes_own_their_read_only_grids():
+    overlapping = 0
+    for scene in _scenes():
+        for ann in scene_annotations(scene):
+            assert_owned_and_read_only(ann.amodal.bits)
+            assert_owned_and_read_only(ann.visible.bits)
+        for instance_id in scene.ids():
+            assert_owned_and_read_only(amodal_mask_of(scene, instance_id).bits)
+            assert_owned_and_read_only(visible_mask_of(scene, instance_id).bits)
+        for a, b in combinations(encode_scene(scene).values(), 2):
+            overlap = overlap_region(a, b)
+            assert_owned_and_read_only(overlap.bits)
+            assert_owned_and_read_only(relative_order(a, b).values)
+            overlapping += overlap.area() > 0
+    assert overlapping  # both the pasted and the all-False paths ran
+
+
+def _counted_checks(monkeypatch):
+    """The crops SemDistMap._check sees from now on, in order."""
+    seen, check = [], SemDistMap._check
+
+    def counted(values):
+        seen.append(values)
+        check(values)
+
+    monkeypatch.setattr(SemDistMap, "_check", staticmethod(counted))
+    return seen
+
+
+def test_encoders_check_each_map_they_build_once(monkeypatch):
+    cases = [(scene, scene.ids(), [instance_layering_target(scene, i, 8) for i in scene.ids()])
+             for scene in _scenes()]
+    seen = _counted_checks(monkeypatch)
+    empty = 0
+    for scene, ids, targets in cases:
+        built = [encode_semdist(scene, i) for i in ids]
+        built += encode_scene(scene).values()
+        built += [semdist_from_layering(target) for target in targets]
+        held = [m._crop for m in built if m._crop is not None]
+        assert len(seen) == len(held) and all(a is b for a, b in zip(seen, held))
+        empty += len(built) - len(held)
+        seen.clear()
+    assert empty  # a listed id that no pixel holds builds a map with no crop to check
 
 
 @pytest.mark.parametrize("roundtrip", [

@@ -50,6 +50,7 @@ from semdist import (
 from semdist import io as semdist_io
 from semdist.cli import main
 from semdist.io import (
+    _dump_json,
     _get_required,
     _load_json,
     _parse_instances,
@@ -989,6 +990,14 @@ class TestJsonFileErrors:
         with pytest.raises(SchemaError) as err:
             reader(path)
         assert err.value.path == "$"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_writer_refuses_a_float_json_cannot_hold(self, value):
+        with pytest.raises(ValueError):
+            _dump_json({"x": value})
+        with pytest.raises(ValueError):
+            _dump_json({"meta": {"cuts": [0.25, value]}})
+        assert _dump_json({"x": 0.25}) == '{\n  "x": 0.25\n}\n'
 
 
 class TestSdmBinary:

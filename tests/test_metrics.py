@@ -478,6 +478,16 @@ class TestEvaluate:
         # heavy_cut records a setting, which evaluate accepts at any finite value
         assert EvalReport(**metrics, heavy_cut=2.0).heavy_cut == 2.0
 
+    @pytest.mark.parametrize("cut", [float("nan"), float("inf"), float("-inf")])
+    def test_report_rejects_a_cut_that_is_not_finite(self, cut):
+        # as evaluate and stratified_ar do; no JSON report could hold the cut
+        metrics = dict(ap=0.5, ar10=0.5, ar100=0.5, ar_none=None, ar_partial=None,
+                       ar_heavy=None, order_accuracy=None)
+        with pytest.raises(ValueError, match=rf"^heavy_cut must be finite, got {cut}$"):
+            EvalReport(**metrics, heavy_cut=cut)
+        for finite in (-1.0, 0.0, 0.25, 1.0, 2.0):
+            assert EvalReport(**metrics, heavy_cut=finite).heavy_cut == finite
+
     def test_bad_order_threshold_raises_like_order_accuracy(self, s0):
         images = [scene_annotations(s0)]
         maps = [(r.id, encode_semdist(s0, r.id)) for r in s0.instances]

@@ -393,6 +393,18 @@ class TestInstanceAnnotation:
         ann = InstanceAnnotation.from_masks(3, amodal, visible)
         assert ann.occlusion_rate == 0.75
 
+    def test_from_masks_takes_bare_bool_arrays(self):
+        amodal = np.array([[True, True], [True, False]])
+        visible = np.array([[True, False], [False, False]])
+        ann = InstanceAnnotation.from_masks(4, amodal, visible, score=0.5, category="cup")
+        assert isinstance(ann.amodal, BinaryMask) and isinstance(ann.visible, BinaryMask)
+        assert ann == InstanceAnnotation.from_masks(
+            4, BinaryMask(amodal), BinaryMask(visible), score=0.5, category="cup"
+        )
+        assert ann.occlusion_rate == 1.0 - 1 / 3
+        with pytest.raises(ValueError, match="^instance 4 has an empty amodal mask$"):
+            InstanceAnnotation.from_masks(4, np.zeros((2, 2), bool), np.zeros((2, 2), bool))
+
     def test_from_masks_rejects_empty_amodal(self):
         with pytest.raises(ValueError):
             InstanceAnnotation.from_masks(1, BinaryMask.zeros(2, 2), BinaryMask.zeros(2, 2))
